@@ -58,11 +58,15 @@ def _adjacency(n: int, edges) -> tuple[np.ndarray, ...]:
     return tuple(np.array(sorted(a), dtype=np.int32) for a in nbrs)
 
 
+_BFS_BLOCK = 256
+
+
 def distance_matrix(n: int, edges) -> np.ndarray:
     """All-pairs hop distances via breadth-first search from every vertex.
 
     Raises DisconnectedGraphError naming one unreachable pair. Output dtype
-    is int16 when it fits, int32 otherwise.
+    is int16 when it fits, int32 otherwise. Sources run in blocks of
+    _BFS_BLOCK rows, so scipy's float64 result never exceeds one block.
     """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
@@ -74,12 +78,18 @@ def distance_matrix(n: int, edges) -> np.ndarray:
     adj = scipy.sparse.csr_matrix(
         (np.concatenate([data, data]), (rows + cols, cols + rows)), shape=(n, n)
     )
-    d = scipy.sparse.csgraph.shortest_path(adj, method="D", unweighted=True)
-    bad = np.isinf(d[0])
-    if bad.any():
-        raise DisconnectedGraphError(0, int(np.flatnonzero(bad)[0]))
-    dtype = np.int16 if n <= 32000 else np.int32
-    return d.astype(dtype)
+    out = np.empty((n, n), dtype=np.int16 if n <= 32000 else np.int32)
+    for lo in range(0, n, _BFS_BLOCK):
+        block = np.arange(lo, min(lo + _BFS_BLOCK, n))
+        d = scipy.sparse.csgraph.shortest_path(
+            adj, method="D", unweighted=True, indices=block
+        )
+        if lo == 0:
+            bad = np.isinf(d[0])
+            if bad.any():
+                raise DisconnectedGraphError(0, int(np.flatnonzero(bad)[0]))
+        out[lo:lo + len(d)] = d
+    return out
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -113,21 +123,25 @@ def build_graph(n: int, edges) -> Graph:
     )
 
 
-def consistent_mask(dist: np.ndarray, q: int, reply: int) -> np.ndarray:
-    """Boolean mask of targets consistent with hearing `reply` at query `q`.
+def branch_masks(dist: np.ndarray, q: int, replies) -> np.ndarray:
+    """Consistent-target masks at query q, one boolean row per reply.
 
-    reply == q means "you are at the target", so only q survives. Otherwise
-    the reply claims the target is strictly closer through that neighbor:
-    exactly the vertices with dist[q] == 1 + dist[reply]. The query itself
-    never satisfies that equation, so it is excluded automatically.
+    The row of reply q ("you are at the target") is the one-hot row of q.
+    Any other reply claims the target is strictly closer through that
+    neighbor: exactly the vertices one hop farther from q than from the
+    reply, a set that never holds q itself. A single reply gives one row
+    as a 1-D mask.
     """
-    if reply == q:
-        mask = np.zeros(dist.shape[0], dtype=bool)
-        mask[q] = True
-        return mask
-    if dist[q, reply] != 1:
+    masks = dist[q] == 1 + dist[replies]
+    masks[..., q] = np.equal(replies, q)
+    return masks
+
+
+def consistent_mask(dist: np.ndarray, q: int, reply: int) -> np.ndarray:
+    """Boolean mask of targets consistent with hearing `reply` at query `q`."""
+    if reply != q and dist[q, reply] != 1:
         raise ValueError(f"reply {reply} is neither query {q} nor a neighbor")
-    return dist[q] == 1 + dist[reply]
+    return branch_masks(dist, q, reply)
 
 
 def consistent_set(g: Graph, q: int, reply: int) -> np.ndarray:

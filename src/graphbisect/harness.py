@@ -333,22 +333,6 @@ def _bench_once(g: Graph, n: int, epsilon: float, policy: str, steps: int, seed_
     return t.step_seconds
 
 
-def _warmup():
-    # compile the resampling kernel before anything is timed
-    from . import _kernels
-
-    if _kernels.resample_pass is None:
-        return
-    members = np.array([0, 0, 1, 1], dtype=np.int32)
-    consistent = np.array([False, True])
-    coins = np.array([0.9, 0.9])
-    draws = np.array([0.7, 0.7])
-    delta = np.zeros(2, dtype=np.int64)
-    _kernels.resample_pass(
-        members, consistent, coins, 0.5, draws, np.array([0.5, 1.0]), delta
-    )
-
-
 def bench_scaling(
     sizes,
     kind: str = "erdos-renyi-connected",
@@ -370,7 +354,6 @@ def bench_scaling(
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:
         raise ValueError("scaling fit needs at least 3 distinct sizes")
-    _warmup()
     policies = tuple(policies)
     report = {
         "graph": kind, "epsilon": epsilon, "sizes": sizes,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, branch_masks
 
 TIE_BREAKS = ("uniform-random", "lowest-id", "adversarial-weight")
 ERROR_MODELS = ("uniform-wrong", "adversarial-wrong")
@@ -25,16 +25,19 @@ def truthful_candidates(g: Graph, target: int, q: int) -> np.ndarray:
     return nbrs[g.dist[target, nbrs] == g.dist[target, q] - 1]
 
 
+def wrong_replies(g: Graph, target: int, q: int) -> np.ndarray:
+    """All dishonest replies at q: q and its neighbors minus every truthful
+    candidate, ascending."""
+    nbrs = g.neighbors[q]
+    wrong = nbrs[g.dist[target, nbrs] != g.dist[target, q] - 1]
+    if q == target:
+        return wrong
+    return np.insert(wrong, np.searchsorted(wrong, q), q)
+
+
 def _reply_weights(g: Graph, omega: np.ndarray, q: int, ids: np.ndarray) -> np.ndarray:
     """Surviving weight per candidate reply (ids are neighbors of q, or q)."""
-    out = np.empty(len(ids))
-    dist = g.dist
-    for i, r in enumerate(ids):
-        if r == q:
-            out[i] = omega[q]
-        else:
-            out[i] = (dist[q] == 1 + dist[r]) @ omega
-    return out
+    return branch_masks(g.dist, q, ids) @ omega
 
 
 def _heaviest(ids: np.ndarray, weights: np.ndarray) -> int:
@@ -86,14 +89,16 @@ class NoisyOracle:
         return int(cands[self.rng.integers(len(cands))])
 
     def _pick_wrong(self, q: int, truth: int, omega) -> int:
-        options = np.append(self.g.neighbors[q], q)
-        wrong = options[options != truth]
+        wrong = wrong_replies(self.g, self.target, q)
         if len(wrong) == 0:
             return truth  # single-vertex graph leaves no room to lie
         if self.error_model == "adversarial-wrong":
             if omega is None:
                 raise ValueError("adversarial-wrong errors need the weight vector")
             return _heaviest(wrong, _reply_weights(self.g, omega, q, wrong))
+        # neighbors first and q last, the order the uniform draw has always
+        # indexed, so seeded runs keep their replies wherever truth is unique
+        wrong = np.concatenate([wrong[wrong != q], wrong[wrong == q]])
         return int(wrong[self.rng.integers(len(wrong))])
 
     def reply(self, q: int, weights=None) -> int:
@@ -151,11 +156,6 @@ class AdversarialOracle:
                 steps = rng.choice(horizon, size=k, replace=False)
                 self._lie_steps = set(int(t) for t in steps)
 
-    def _wrong_options(self, q: int) -> np.ndarray:
-        options = np.append(self.g.neighbors[q], q).astype(np.int32)
-        cands = truthful_candidates(self.g, self.target, q)
-        return np.setdiff1d(options, cands)
-
     def reply(self, q: int, weights=None) -> int:
         t = self.queries_made
         self.queries_made += 1
@@ -165,7 +165,7 @@ class AdversarialOracle:
         if self.schedule == "greedy-heavy":
             if omega is None:
                 raise ValueError("greedy-heavy needs the weight vector")
-            wrong = self._wrong_options(q)
+            wrong = wrong_replies(self.g, self.target, q)
             truth_w = _reply_weights(self.g, omega, q, cands)
             if self.lies_spent < self.budget and len(wrong):
                 wrong_w = _reply_weights(self.g, omega, q, wrong)
@@ -182,7 +182,7 @@ class AdversarialOracle:
             else t < self.budget
         )
         if lie_now and self.lies_spent < self.budget:
-            wrong = self._wrong_options(q)
+            wrong = wrong_replies(self.g, self.target, q)
             if len(wrong):
                 self.lies_spent += 1
                 self.last_was_error = True

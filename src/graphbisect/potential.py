@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, branch_masks
 
 
 def phi(omega: np.ndarray, dist: np.ndarray, v: int) -> float:
@@ -28,16 +28,11 @@ def exact_median(omega: np.ndarray, dist: np.ndarray) -> int:
 
 
 def branch_weights(omega: np.ndarray, g: Graph, dist: np.ndarray, v: int) -> np.ndarray:
-    """Consistent-set weight for each truthful-looking reply neighbor of v.
+    """Consistent-set weight for each reply neighbor of v, in neighbor order.
 
-    Row u of the mask marks the vertices that stay alive when v's reply is
-    neighbor u; the query vertex itself is never on any branch.
+    The query vertex itself is never on any branch.
     """
-    nbrs = g.neighbors[v]
-    if len(nbrs) == 0:
-        return np.zeros(0)
-    masks = dist[v][None, :] == 1 + dist[nbrs, :]
-    return masks @ omega
+    return branch_masks(dist, v, g.neighbors[v]) @ omega
 
 
 def worst_branch_weight(omega: np.ndarray, g: Graph, dist: np.ndarray, v: int) -> float:

@@ -9,18 +9,12 @@ a fresh draw from the updated weights without redrawing the whole sample.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .graph import Graph
+from .graph import Graph, branch_masks
 from .weights import WeightState
-
-# the compiled sweep and the numpy path consume the same random stream, so
-# this only selects an engine, never a distribution
-_USE_JIT = _kernels.resample_pass is not None and not os.environ.get("GRAPHBISECT_NO_JIT")
 
 
 def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -87,11 +81,8 @@ class Sample:
 
     def max_branch_count(self, g: Graph, dist: np.ndarray, v: int) -> int:
         """Largest number of members a single reply at v keeps alive."""
-        nbrs = g.neighbors[v]
-        if len(nbrs) == 0:
-            return 0
-        masks = dist[v][None, :] == 1 + dist[nbrs, :]
-        return int((masks @ self.counts).max())
+        masks = branch_masks(dist, v, g.neighbors[v])
+        return int((masks @ self.counts).max(initial=0))
 
     def resample(
         self,
@@ -106,8 +97,8 @@ class Sample:
         Members at consistent vertices stay. Each member at an inconsistent
         vertex stays with probability 1/gamma, otherwise it is replaced by a
         fresh draw from the already-updated weights. Coins and redraws are
-        consumed in positional order, so the compiled and vectorized engines
-        produce identical samples.
+        consumed in positional order: one coin per inconsistent member, then
+        one uniform per failed coin.
         """
         inv_gamma = 1.0 / gamma
         n = weights.n
@@ -120,21 +111,11 @@ class Sample:
         draws = rng.random(k)
         if k == 0:
             return 0
-        delta = np.zeros(n, dtype=np.int64)
-        if _USE_JIT:
-            consumed = _kernels.resample_pass(
-                self.members, consistent, coins, inv_gamma, draws, np.cumsum(weights.omega), delta
-            )
-            assert consumed == k
-        else:
-            cm = consistent[self.members]
-            inc_pos = np.flatnonzero(~cm)
-            pos = inc_pos[fail]
-            new = draw_indices_from(weights.omega, draws)
-            old = self.members[pos]
-            self.members[pos] = new
-            delta += np.bincount(new, minlength=n)
-            delta -= np.bincount(old, minlength=n)
+        pos = np.flatnonzero(~consistent[self.members])[fail]
+        new = draw_indices_from(weights.omega, draws)
+        old = self.members[pos]
+        self.members[pos] = new
+        delta = np.bincount(new, minlength=n) - np.bincount(old, minlength=n)
         self.counts += delta
         if self.distance_sums is not None:
             ch = np.flatnonzero(delta)

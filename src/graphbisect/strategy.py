@@ -125,15 +125,6 @@ class SearchTranscript:
         return len(self.queries)
 
 
-def select_query_exact(w: WeightState, g: Graph, slack: float) -> int:
-    """Heavy vertex when one exists (it is the unique near-median), else the
-    exact weighted median, lowest id on ties."""
-    h = heavy_vertex(w.omega, slack)
-    if h is not None:
-        return h
-    return exact_median(w.omega, g.dist)
-
-
 def select_query_global(sample: Sample) -> int:
     """Lowest-id minimizer of the sampled potential."""
     return int(np.argmin(sample.distance_sums))
@@ -177,11 +168,6 @@ def local_search(
         phi_v = phi_u
 
 
-def select_query_local(sample: Sample, g: Graph, prev_query: int, margin: float) -> int:
-    """Local-search output seeded at the previous query (vertex 0 initially)."""
-    return local_search(sample, g, prev_query, margin)[0]
-
-
 def _empty_transcript(cfg, n, target, answer, success):
     z = lambda dt: np.zeros(0, dtype=dt)
     return SearchTranscript(
@@ -201,16 +187,14 @@ def run_search(
     oracle,
     cfg: StrategyConfig,
     debug: bool = False,
-    renormalize: bool = True,
     dump_path=None,
 ) -> SearchTranscript:
     """Run the full query loop and report the fewest-lies answer.
 
     debug turns on the slow per-step checks (near-median flag for the
     query, exact recomputation of the sampled potential, branch bound on
-    local-search outputs). renormalize=False keeps raw weights, which only
-    matters for numerical-equivalence tests. dump_path appends one JSON
-    line of internal state per step.
+    local-search outputs). dump_path appends one JSON line of internal
+    state per step.
     """
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown policy {cfg.policy!r}")
@@ -280,9 +264,7 @@ def run_search(
 
             t.weight_before[step] = w.total
             w.downweight(mask, cfg.gamma)
-            t.weight_after[step] = w.total
-            if renormalize:
-                w.renormalize()
+            t.weight_after[step] = w.renormalize()
             if sampled:
                 t.resampled[step] = sample.resample(mask, w, cfg.gamma, rng, dist)
                 if debug and track_sums:

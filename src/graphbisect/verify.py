@@ -44,7 +44,7 @@ def random_weight_profile(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _weight_state(omega: np.ndarray) -> WeightState:
-    return WeightState(omega, np.zeros(len(omega), dtype=np.int64), float(omega.sum()))
+    return WeightState(omega, np.zeros(len(omega), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,21 @@ import numpy as np
 class WeightState:
     omega: np.ndarray  # float64, strictly positive
     lies: np.ndarray  # int64 count of inconsistencies charged so far
-    total: float  # running sum of omega, kept incrementally
 
     @classmethod
     def uniform(cls, n: int) -> "WeightState":
         if n <= 0:
             raise ValueError("need at least one vertex")
-        return cls(omega=np.full(n, 1.0 / n), lies=np.zeros(n, dtype=np.int64), total=1.0)
+        return cls(omega=np.full(n, 1.0 / n), lies=np.zeros(n, dtype=np.int64))
 
     @property
     def n(self) -> int:
         return len(self.omega)
+
+    @property
+    def total(self) -> float:
+        """Sum of the weights, recomputed on every read."""
+        return float(self.omega.sum())
 
     def downweight(self, consistent: np.ndarray, gamma: float) -> None:
         """Divide every inconsistent weight by gamma and charge a lie.
@@ -39,16 +43,13 @@ class WeightState:
         if not consistent.any():
             raise ValueError("a reply can never wipe out every vertex")
         out = ~consistent
-        removed = float(self.omega[out].sum())
         self.omega[out] *= 1.0 / gamma
         self.lies[out] += 1
-        self.total -= removed * (1.0 - 1.0 / gamma)
 
     def renormalize(self) -> float:
         """Scale weights to sum to one; returns the pre-scaling total, exactly."""
-        t = float(self.omega.sum())
+        t = self.total
         self.omega /= t
-        self.total = float(self.omega.sum())
         return t
 
     def answer(self) -> int:
@@ -56,4 +57,4 @@ class WeightState:
         return int(np.argmin(self.lies))
 
     def copy(self) -> "WeightState":
-        return WeightState(self.omega.copy(), self.lies.copy(), self.total)
+        return WeightState(self.omega.copy(), self.lies.copy())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from graphbisect.graph import (
     DisconnectedGraphError,
+    branch_masks,
     build_graph,
     consistent_mask,
     consistent_set,
@@ -76,6 +78,33 @@ def test_disconnected_rejected():
         build_graph(4, [(0, 1), (2, 3)])
     u, v = exc.value.unreachable_pair
     assert u != v and {u, v} <= {0, 1, 2, 3}
+    # vertex 599 is unreachable and lies beyond the first block of sources
+    with pytest.raises(DisconnectedGraphError) as exc:
+        distance_matrix(600, [(i, i + 1) for i in range(598)])
+    assert exc.value.unreachable_pair == (0, 599)
+
+
+def test_distances_across_blocks():
+    n = 600
+    d = distance_matrix(n, [(i, i + 1) for i in range(n - 1)])
+    idx = np.arange(n)
+    assert d.dtype == np.int16
+    assert (d == np.abs(idx[:, None] - idx[None, :])).all()
+
+
+def test_distance_matrix_peak_memory():
+    # all-pairs BFS on the 64 x 64 grid stays under twice the matrix itself
+    side = 64
+    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    tracemalloc.start()
+    try:
+        d = distance_matrix(side * side, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d[0, -1] == 2 * (side - 1)
+    assert peak < 2 * d.nbytes
 
 
 def test_invalid_edges_rejected():
@@ -126,6 +155,17 @@ def test_consistency_rejects_non_neighbor(path5):
 def test_self_reply_isolates_query(path5):
     mask = consistent_mask(path5.dist, 2, 2)
     assert mask.sum() == 1 and mask[2]
+
+
+@pytest.mark.parametrize("name", ["path5", "grid9", "cycle4"])
+def test_branch_masks_rows_match_consistent_mask(name, request):
+    g = generate("cycle", 4) if name == "cycle4" else request.getfixturevalue(name)
+    for q in range(g.n):
+        replies = np.append(g.neighbors[q], q)
+        masks = branch_masks(g.dist, q, replies)
+        assert masks.shape == (len(replies), g.n) and masks.dtype == bool
+        for row, r in zip(masks, replies):
+            assert (row == consistent_mask(g.dist, q, int(r))).all()
 
 
 @given(st.integers(2, 40))

@@ -6,6 +6,7 @@ from graphbisect.oracle import (
     AdversarialOracle,
     NoisyOracle,
     truthful_candidates,
+    wrong_replies,
 )
 from graphbisect.weights import WeightState
 
@@ -78,9 +79,23 @@ def test_wrong_reply_is_wrong_but_legal():
         options = [q] + [int(u) for u in g.neighbors[q]]
         assert r in options
         cands = truthful_candidates(g, 15, q).tolist()
-        if oracle.last_was_error and len(cands) == 1:
-            # a lie against a unique honest reply is genuinely misleading
-            assert r not in cands
+        # every error is off the truthful set, even where two replies are honest
+        assert oracle.last_was_error == (r not in cands)
+
+
+@pytest.mark.parametrize("graph", ["grid9", "er16"])
+def test_wrong_replies_match_set_difference(graph, request):
+    if graph == "er16":
+        g = generate("erdos-renyi-connected", 16, seed=3)
+    else:
+        g = request.getfixturevalue(graph)
+    for target in range(g.n):
+        for q in range(g.n):
+            options = np.append(g.neighbors[q], q).astype(np.int32)
+            ref = np.setdiff1d(options, truthful_candidates(g, target, q))
+            got = wrong_replies(g, target, q)
+            assert got.dtype == ref.dtype
+            assert got.tolist() == ref.tolist()
 
 
 def test_tie_break_lowest_id():

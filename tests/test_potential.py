@@ -39,6 +39,8 @@ def test_path4_median_tie_lowest_id():
     w = np.full(4, 0.25)
     assert phi(w, g.dist, 1) == pytest.approx(phi(w, g.dist, 2))
     assert exact_median(w, g.dist) == 1
+    p2 = build_graph(2, [(0, 1)])
+    assert exact_median(np.full(2, 0.5), p2.dist) == 0
 
 
 def test_matches_brute_force(rng):
@@ -71,6 +73,7 @@ def test_heavy_vertex_detection():
     w = np.array([0.6, 0.2, 0.2])
     assert heavy_vertex(w, 0.1) is None
     assert heavy_vertex(w, 0.09) == 0
+    assert heavy_vertex(np.array([0.05, 0.05, 0.1, 0.1, 0.7]), 0.025) == 4
 
 
 def test_heavy_vertex_is_median(rng):

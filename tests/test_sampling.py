@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import graphbisect.sampling as sampling
 from graphbisect.graph import build_graph, consistent_mask, generate
 from graphbisect.sampling import Sample, draw_indices
 from graphbisect.weights import WeightState
@@ -13,7 +12,6 @@ def weighted_state(w):
     w = np.asarray(w, dtype=float)
     ws = WeightState.uniform(len(w))
     ws.omega = w.copy()
-    ws.total = float(w.sum())
     return ws
 
 
@@ -85,19 +83,6 @@ def test_counts_and_sums_survive_many_steps(grid9):
     assert s.verify_sums(grid9.dist)
     assert s.counts.sum() == s.size
     assert any(k > 0 for k in redrawn)
-
-
-def test_engines_produce_identical_samples(grid9, monkeypatch):
-    if sampling._kernels.resample_pass is None:
-        pytest.skip("compiled kernel unavailable")
-    monkeypatch.setattr(sampling, "_USE_JIT", True)
-    a = _run_steps(grid9, 25, seed=11)
-    monkeypatch.setattr(sampling, "_USE_JIT", False)
-    b = _run_steps(grid9, 25, seed=11)
-    assert (a[0].members == b[0].members).all()
-    assert (a[0].counts == b[0].counts).all()
-    assert (a[0].distance_sums == b[0].distance_sums).all()
-    assert a[2] == b[2]
 
 
 def test_all_consistent_resample_is_silent(path5):
