@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-vertex potential table for one graph")
     med.add_argument("--edges", required=True, help="edge-list file")
     med.add_argument("--weights", default=None,
-                     help="JSON array of positive vertex weights")
+                     help="JSON array of nonnegative vertex weights, positive sum")
     return top
 
 
@@ -195,8 +195,11 @@ def _cmd_verify_median(args) -> int:
             omega = np.asarray(json.load(fh), dtype=float)
         if len(omega) != g.n:
             raise SystemExit(f"expected {g.n} weights, got {len(omega)}")
-        if (omega <= 0).any():
-            raise SystemExit("weights must be strictly positive")
+        # zeros are legal: the search loop flushes underflowed weights to 0
+        if not np.isfinite(omega).all() or (omega < 0).any():
+            raise SystemExit("weights must be finite and nonnegative")
+        if omega.sum() <= 0:
+            raise SystemExit("weights must have a positive sum")
     else:
         omega = np.full(g.n, 1.0 / g.n)
     rep = median_report(omega, g)

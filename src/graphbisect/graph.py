@@ -7,6 +7,7 @@ predicate that says which vertices a (query, reply) pair keeps alive.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,10 @@ class Graph:
 
     dist holds hop counts for every pair; int16 is enough for any graph we
     build here (diameter < n <= 32000) and halves the memory traffic of the
-    hot loops that stream distance rows.
+    hot loops that stream distance rows. dist_float is the same matrix as
+    float64 for full matvecs against weights or counts; it is lazy, built on
+    first access and cached, so a graph whose searches never multiply by the
+    whole matrix never pays for it.
     """
 
     n: int
@@ -41,6 +45,12 @@ class Graph:
     dist: np.ndarray = field(repr=False)
     diameter: int
     max_degree: int
+
+    @functools.cached_property
+    def dist_float(self) -> np.ndarray:
+        # numpy casts int16 @ float64 to this same matrix before its dgemv,
+        # so products against it are bitwise those against dist
+        return self.dist.astype(np.float64)
 
     @property
     def m(self) -> int:

@@ -60,7 +60,7 @@ def heavy_vertex(omega: np.ndarray, slack: float) -> int | None:
 def median_report(omega: np.ndarray, g: Graph) -> dict:
     """Per-vertex potentials plus the median and its bisection bound."""
     dist = g.dist
-    phis = dist @ omega
+    phis = g.dist_float @ omega
     lambdas = np.array(
         [worst_branch_weight(omega, g, dist, v) for v in range(g.n)]
     )

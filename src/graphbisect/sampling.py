@@ -41,7 +41,6 @@ class Sample:
     members: np.ndarray  # int32, stable positions
     counts: np.ndarray  # int64 multiplicity per vertex
     distance_sums: np.ndarray | None  # int64 sum of dist to members, or None
-    dist_float: np.ndarray | None = None  # float64 copy backing fast recomputes
 
     @classmethod
     def draw(
@@ -57,17 +56,11 @@ class Sample:
         members = draw_indices(weights.omega, size, rng)
         counts = np.bincount(members, minlength=weights.n).astype(np.int64)
         sums = None
-        dist_float = None
         if track_sums:
             if dist is None:
                 raise ValueError("distance matrix needed to track sums")
             sums = dist @ counts
-            # distance sums stay far below 2**53, so float64 matvecs are
-            # exact and much faster than integer ones at large n
-            dist_float = dist.astype(np.float64)
-        return cls(
-            members=members, counts=counts, distance_sums=sums, dist_float=dist_float
-        )
+        return cls(members=members, counts=counts, distance_sums=sums)
 
     @property
     def size(self) -> int:
@@ -91,6 +84,7 @@ class Sample:
         gamma: float,
         rng: np.random.Generator,
         dist: np.ndarray | None = None,
+        dist_float: np.ndarray | None = None,
     ) -> int:
         """Update the sample in place after one reply; returns members redrawn.
 
@@ -99,6 +93,10 @@ class Sample:
         fresh draw from the already-updated weights. Coins and redraws are
         consumed in positional order: one coin per inconsistent member, then
         one uniform per failed coin.
+
+        Tracked distance sums are patched row by row from dist, or, when the
+        caller passes the graph's dist_float and many counts changed,
+        recomputed in one float64 matvec.
         """
         inv_gamma = 1.0 / gamma
         n = weights.n
@@ -119,10 +117,11 @@ class Sample:
         self.counts += delta
         if self.distance_sums is not None:
             ch = np.flatnonzero(delta)
-            if self.dist_float is not None and len(ch) * 16 >= n:
-                # wide updates: one BLAS matvec beats summing touched rows
+            if dist_float is not None and len(ch) * 16 >= n:
+                # wide updates: one BLAS matvec beats summing touched rows;
+                # distance sums stay far below 2**53, so it is exact
                 self.distance_sums = (
-                    self.dist_float @ self.counts.astype(np.float64)
+                    dist_float @ self.counts.astype(np.float64)
                 ).astype(np.int64)
             else:
                 if dist is None:

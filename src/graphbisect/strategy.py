@@ -208,6 +208,9 @@ def run_search(
     dist = g.dist
     sampled = cfg.policy in ("global-sampled", "local-search")
     track_sums = cfg.policy == "global-sampled"
+    # local search never multiplies by the whole matrix, so it never builds
+    # the graph's float copy
+    dist_float = g.dist_float if track_sums else None
     sample = None
     if sampled:
         sample = Sample.draw(w, cfg.sample_size, rng, dist=dist, track_sums=track_sums)
@@ -237,7 +240,7 @@ def run_search(
             tic = time.perf_counter()
             heavy = heavy_vertex(w.omega, cfg.slack)
             if cfg.policy == "exact-median":
-                q = heavy if heavy is not None else exact_median(w.omega, dist)
+                q = heavy if heavy is not None else exact_median(w.omega, g.dist_float)
             elif cfg.policy == "global-sampled":
                 q = select_query_global(sample)
             else:
@@ -266,7 +269,9 @@ def run_search(
             w.downweight(mask, cfg.gamma)
             t.weight_after[step] = w.renormalize()
             if sampled:
-                t.resampled[step] = sample.resample(mask, w, cfg.gamma, rng, dist)
+                t.resampled[step] = sample.resample(
+                    mask, w, cfg.gamma, rng, dist, dist_float
+                )
                 if debug and track_sums:
                     t.sums_checked += 1
                     if not sample.verify_sums(dist):

@@ -194,7 +194,7 @@ def median_bisection_suite(weights_per_graph: int = 50, seed: int = 0) -> dict:
         g = build_graph(n, edges)
         for _ in range(weights_per_graph):
             w = random_weight_profile(rng, n)
-            med = exact_median(w, g.dist)
+            med = exact_median(w, g.dist_float)
             lam = worst_branch_weight(w, g, g.dist, med)
             cases += 1
             if lam > 0.5 * float(w.sum()) * (1 + 1e-12):

@@ -3,6 +3,10 @@
 Weights start uniform; every reply divides the weight of each inconsistent
 vertex by gamma and bumps its lie counter. The final answer is the vertex
 with the fewest lies, which never depends on renormalization.
+Renormalizing flushes weights that have underflowed below the smallest
+normal float64 to exactly 0: subnormal arithmetic is an order of magnitude
+slower, and such a weight is below one ulp of any sum that holds a normal
+entry, so no decision can see it.
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass
 class WeightState:
-    omega: np.ndarray  # float64, strictly positive
+    # float64, nonnegative; renormalize flushes entries below finfo.tiny to 0
+    omega: np.ndarray
     lies: np.ndarray  # int64 count of inconsistencies charged so far
 
     @classmethod
@@ -36,7 +43,8 @@ class WeightState:
         """Divide every inconsistent weight by gamma and charge a lie.
 
         The consistent mask must keep at least one vertex alive; gamma > 1
-        keeps all weights positive forever.
+        keeps the weights nonnegative, and `renormalize` flushes entries
+        below finfo.tiny to 0.
         """
         if gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {gamma}")
@@ -47,9 +55,11 @@ class WeightState:
         self.lies[out] += 1
 
     def renormalize(self) -> float:
-        """Scale weights to sum to one; returns the pre-scaling total, exactly."""
+        """Scale weights to sum to one, then flush entries below finfo.tiny
+        to 0; returns the pre-scaling total, exactly."""
         t = self.total
         self.omega /= t
+        self.omega[self.omega < _TINY] = 0.0
         return t
 
     def answer(self) -> int:

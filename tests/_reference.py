@@ -103,3 +103,11 @@ def connected_atlas():
             continue
         out.append((n, [tuple(sorted(e)) for e in g.edges()]))
     return out
+
+
+def renormalize_unflushed(state):
+    """WeightState.renormalize without the flush: scale to sum one and keep
+    whatever the division leaves, subnormal entries included."""
+    t = float(state.omega.sum())
+    state.omega /= t
+    return t

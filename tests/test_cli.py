@@ -140,3 +140,31 @@ def test_verify_median_bad_weight_count(tmp_path):
     weights.write_text("[1.0, 2.0]")
     with pytest.raises(SystemExit, match="expected 5 weights"):
         main(["verify-median", "--edges", str(edges), "--weights", str(weights)])
+
+
+def test_verify_median_accepts_zero_weights(tmp_path, capsys):
+    # a weight vector the search loop writes once it has flushed underflow
+    edges = tmp_path / "p5.edges"
+    main(["generate", "--graph", "path", "--n", "5", "--out", str(edges)])
+    weights = tmp_path / "w.json"
+    weights.write_text("[0.0, 0.0, 0.25, 0.75, 0.0]")
+    capsys.readouterr()
+    rc = main(["verify-median", "--edges", str(edges), "--weights", str(weights)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = [l for l in out.splitlines() if "<- median" in l]
+    assert lines and lines[0].split()[0] == "3"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[0.5, -0.1, 0.2, 0.2, 0.2]", "finite and nonnegative"),
+    ("[0.5, NaN, 0.2, 0.2, 0.2]", "finite and nonnegative"),
+    ("[0.0, 0.0, 0.0, 0.0, 0.0]", "positive sum"),
+])
+def test_verify_median_rejects_bad_weights(tmp_path, text, message):
+    edges = tmp_path / "p5.edges"
+    main(["generate", "--graph", "path", "--n", "5", "--out", str(edges)])
+    weights = tmp_path / "w.json"
+    weights.write_text(text)
+    with pytest.raises(SystemExit, match=message):
+        main(["verify-median", "--edges", str(edges), "--weights", str(weights)])

@@ -168,6 +168,31 @@ def test_branch_masks_rows_match_consistent_mask(name, request):
             assert (row == consistent_mask(g.dist, q, int(r))).all()
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("erdos-renyi-connected", None),
+    ("grid", {"rows": 16, "cols": 16}),
+])
+def test_dist_float_products_match_int_matrix_bitwise(kind, params, rng):
+    g = generate(kind, 256, params, seed=11)
+    tiny = np.finfo(np.float64).tiny
+    for trial in range(20):
+        w = rng.random(g.n) * 10.0 ** rng.uniform(-6, 2, g.n)
+        if trial % 2:
+            # about half the entries deep in the subnormal range
+            sub = rng.random(g.n) < 0.5
+            w[sub] = tiny * rng.random(int(sub.sum())) * 2.0 ** -30
+        assert (g.dist_float @ w).tobytes() == (g.dist @ w).tobytes()
+
+
+def test_dist_float_is_cached_and_lazy():
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    # build_graph must not pay for the float copy
+    assert "dist_float" not in vars(g)
+    assert g.dist_float is g.dist_float
+    assert g.dist_float.dtype == np.float64
+    assert (g.dist_float == g.dist).all()
+
+
 @given(st.integers(2, 40))
 def test_path_generator(n):
     g = generate("path", n)

@@ -62,10 +62,12 @@ def test_max_branch_count_matches_members(grid9):
         assert s.max_branch_count(grid9, grid9.dist, v) == best
 
 
-def _run_steps(g, steps, seed, track=True):
+def _run_steps(g, steps, seed, track=True, wide=True):
     rng = np.random.default_rng(seed)
     ws = WeightState.uniform(g.n)
     s = Sample.draw(ws, 2000, rng, dist=g.dist, track_sums=track)
+    # the graph's float matrix enables the one-matvec recompute of the sums
+    dist_float = g.dist_float if wide else None
     gamma = 1.0 / 0.6
     redrawn = []
     for t in range(steps):
@@ -74,7 +76,7 @@ def _run_steps(g, steps, seed, track=True):
         mask = consistent_mask(g.dist, q, reply)
         ws.downweight(mask, gamma)
         ws.renormalize()
-        redrawn.append(s.resample(mask, ws, gamma, rng, g.dist))
+        redrawn.append(s.resample(mask, ws, gamma, rng, g.dist, dist_float))
     return s, ws, redrawn
 
 
@@ -83,6 +85,15 @@ def test_counts_and_sums_survive_many_steps(grid9):
     assert s.verify_sums(grid9.dist)
     assert s.counts.sum() == s.size
     assert any(k > 0 for k in redrawn)
+
+
+def test_row_patched_sums_match_matvec_sums(grid9):
+    # without the float matrix the sums are patched row by row, same values
+    wide, _, _ = _run_steps(grid9, 60, seed=5)
+    rows, _, _ = _run_steps(grid9, 60, seed=5, wide=False)
+    assert rows.verify_sums(grid9.dist)
+    assert (rows.members == wide.members).all()
+    assert (rows.distance_sums == wide.distance_sums).all()
 
 
 def test_all_consistent_resample_is_silent(path5):

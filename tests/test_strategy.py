@@ -18,6 +18,8 @@ from graphbisect.strategy import (
 )
 from graphbisect.weights import WeightState
 
+from _reference import renormalize_unflushed
+
 
 def test_derive_config_reference_values():
     cfg = derive_config(0.2, 1024, "exact-median")
@@ -242,3 +244,37 @@ def test_transcript_weight_columns():
     assert (t.weight_after >= t.weight_before / t.config.gamma).all()
     assert (t.heavy_before >= -1).all()
     assert t.num_steps == t.config.num_queries
+
+
+def _er64_search(case):
+    """Full-tau ER-64 run: greedy-heavy adversary at eps 0.5, or noisy at 0.2."""
+    g = generate("erdos-renyi-connected", 64, seed=0)
+    if case == "greedy-heavy":
+        cfg = derive_config(0.5, g.n, "exact-median", seed=3)
+        budget = math.floor(cfg.error_rate * cfg.num_queries)
+        oracle = AdversarialOracle(g, 5, budget=budget, schedule="greedy-heavy")
+    else:
+        cfg = derive_config(0.2, g.n, case, seed=4)
+        oracle = NoisyOracle(g, 5, cfg.noise_p, np.random.default_rng(6))
+    return run_search(g, oracle, cfg)
+
+
+@pytest.mark.parametrize("case", ("greedy-heavy",) + POLICIES)
+def test_flushing_underflowed_weights_changes_no_decision(case, monkeypatch):
+    flushed = _er64_search(case)
+    tiny = np.finfo(np.float64).tiny
+    subnormal_steps = []
+
+    def unflushed(self):
+        total = renormalize_unflushed(self)
+        subnormal_steps.append(bool(((self.omega > 0) & (self.omega < tiny)).any()))
+        return total
+
+    monkeypatch.setattr(WeightState, "renormalize", unflushed)
+    ref = _er64_search(case)
+    # the reference run must really carry subnormal weights for this to test anything
+    assert any(subnormal_steps)
+    assert (flushed.queries == ref.queries).all()
+    assert (flushed.replies == ref.replies).all()
+    assert (flushed.resampled == ref.resampled).all()
+    assert flushed.answer == ref.answer

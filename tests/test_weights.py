@@ -64,6 +64,46 @@ def test_weights_stay_positive(rng):
     assert (w.omega > 0).all()
 
 
+TINY = np.finfo(np.float64).tiny
+
+
+def _subnormal(omega):
+    return (omega > 0) & (omega < TINY)
+
+
+def test_renormalize_flushes_underflowed_weights():
+    w = WeightState(
+        omega=np.array([4.0, 5e-308, 1e-310, 3e-320, 1e-300, 0.0]),
+        lies=np.array([0, 3, 5, 9, 2, 40]),
+    )
+    lies = w.lies.copy()
+    pre_flush = float(w.omega.sum())
+    assert w.renormalize() == pre_flush
+    assert not _subnormal(w.omega).any()
+    # 5e-308 / 4 is normal before scaling and subnormal after: flushed too
+    assert w.omega.tolist() == [1.0, 0.0, 0.0, 0.0, 1e-300 / 4.0, 0.0]
+    assert w.lies.tolist() == lies.tolist()
+    assert w.answer() == 0
+
+
+def test_renormalize_flushes_along_a_long_run(rng):
+    # at gamma 1.98 a gap of ~1 075 lies underflows; 3 000 steps pass it
+    w = WeightState.uniform(8)
+    flushed = 0
+    for _ in range(3000):
+        mask = rng.random(8) < 0.5
+        mask[0] = True
+        w.downweight(mask, 1.98)
+        lies, answer = w.lies.copy(), w.answer()
+        pre_flush = float(w.omega.sum())
+        assert w.renormalize() == pre_flush
+        assert not _subnormal(w.omega).any()
+        assert (w.lies == lies).all() and w.answer() == answer
+        flushed += int((w.omega == 0).any())
+    assert flushed > 0
+    assert w.omega[0] > 0 and w.answer() == 0
+
+
 @given(st.integers(2, 30), st.integers(1, 60))
 def test_lie_order_unaffected_by_renormalization(n, steps):
     rng = np.random.default_rng(n * 1000 + steps)
