@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 
 class DisconnectedGraphError(ValueError):
@@ -31,12 +29,13 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
-    dist holds hop counts for every pair; int16 is enough for any graph we
-    build here (diameter < n <= 32000) and halves the memory traffic of the
-    hot loops that stream distance rows. dist_float is the same matrix as
-    float64 for full matvecs against weights or counts; it is lazy, built on
-    first access and cached, so a graph whose searches never multiply by the
-    whole matrix never pays for it.
+    neighbors[v] holds v's neighbors as an ascending int32 array. dist
+    holds hop counts for every pair; it is int16 up to n = INT16_MAX_N (the
+    diameter is below n), which halves the memory traffic of the hot loops
+    that stream distance rows, and int32 past it. dist_float is the same
+    matrix as float64 for full matvecs against weights or counts; it is
+    lazy, built on first access and cached, so a graph whose searches never
+    multiply by the whole matrix never pays for it.
     """
 
     n: int
@@ -60,45 +59,135 @@ class Graph:
         return len(self.neighbors[v])
 
 
-def _adjacency(n: int, edges) -> tuple[np.ndarray, ...]:
-    nbrs = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return tuple(np.array(sorted(a), dtype=np.int32) for a in nbrs)
+def _csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted compressed adjacency: the neighbors of v, ascending, are
+    indices[indptr[v]:indptr[v + 1]]."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))].astype(np.int32)
 
 
-_BFS_BLOCK = 256
+# largest n whose distances are stored as int16 (diameter < n <= this)
+INT16_MAX_N = 32000
+
+_BFS_BLOCK = 1024  # sources per bit-parallel BFS, 64 to a uint64 word
+_UNPACK_ROWS = 256  # vertices per chunk when the bit planes become distances
+
+
+def _slot_neighbors(n: int, edges) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Vertices relabelled by descending degree, neighbors listed by slot.
+
+    Returns (rank, slots): rank[v] is v's new label, so the vertices with
+    degree > k are the labels 0..len(slots[k]) - 1, and slots[k][i] is the
+    label of the k-th neighbor of label i.
+    """
+    indptr, indices = _csr(n, edges)
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    sdeg = deg[order]
+    # counts[k]: how many vertices have degree > k, for k below the maximum
+    counts = np.searchsorted(-sdeg, -np.arange(sdeg[0]), side="left")
+    start = indptr[order]
+    slots = [rank[indices[start[:c] + k]] for k, c in enumerate(counts.tolist())]
+    return rank, slots
+
+
+# byte j of _SPREAD[x] is bit j of x, for x in 0..255
+_SPREAD = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).view("<u8").ravel()
+
+
+def _unpack_planes(planes: np.ndarray, rows, b: int, dtype) -> np.ndarray:
+    """Integers whose bit k is bit s of planes[k, v], one row per v in rows
+    and one column per source bit s < b."""
+    out = np.zeros((len(rows), b), dtype=dtype)
+    for low in range(0, len(planes), 8):
+        # eight planes at a time become one byte per source: each plane
+        # byte spreads to eight bytes that hold its bits at bit position k
+        acc = np.zeros((len(rows), planes.shape[-1] * 8), dtype=_SPREAD.dtype)
+        for k, plane in enumerate(planes[low:low + 8]):
+            spread = _SPREAD[plane[rows].astype("<u8", copy=False).view(np.uint8)]
+            spread <<= np.uint64(k)
+            acc |= spread
+        out |= acc.view(np.uint8)[:, :b].astype(dtype) << low
+    return out
 
 
 def distance_matrix(n: int, edges) -> np.ndarray:
     """All-pairs hop distances via breadth-first search from every vertex.
 
-    Raises DisconnectedGraphError naming one unreachable pair. Output dtype
-    is int16 when it fits, int32 otherwise. Sources run in blocks of
-    _BFS_BLOCK rows, so scipy's float64 result never exceeds one block.
+    Raises DisconnectedGraphError(0, v) for the lowest vertex v unreachable
+    from 0. Output dtype is int16 when n <= INT16_MAX_N, int32 otherwise.
+
+    Sources run in blocks of _BFS_BLOCK, one bit each in per-vertex uint64
+    words, so one level of the search advances every source of the block:
+    a vertex's next frontier is the OR of its neighbors' frontier words,
+    less the sources that have already seen it. Bit k of d(s, v) is set
+    exactly when v joins s's frontier at a level with bit k set, so the
+    search ORs each level's new bits into those bit planes. A level costs
+    O((n + m) * _BFS_BLOCK / 64) word operations, so the whole matrix costs
+    O(D * (n + m) * n / 64) for diameter D: far below one queue-based BFS
+    per source when D is small, above it on long paths and cycles. The
+    planes are unpacked into the block's columns _UNPACK_ROWS vertices at
+    a time (the matrix is symmetric), so no temporary grows with n * n.
     """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.int16)
-    rows = [e[0] for e in edges]
-    cols = [e[1] for e in edges]
-    data = np.ones(len(rows), dtype=np.int8)
-    adj = scipy.sparse.csr_matrix(
-        (np.concatenate([data, data]), (rows + cols, cols + rows)), shape=(n, n)
-    )
-    out = np.empty((n, n), dtype=np.int16 if n <= 32000 else np.int32)
+    rank, slots = _slot_neighbors(n, edges)
+    head, rest = (slots[0], slots[1:]) if slots else (rank[:0], [])
+    out = np.empty((n, n), dtype=np.int16 if n <= INT16_MAX_N else np.int32)
+    one = np.uint64(1)
+    # One workspace serves every block: frontier, next frontier, gather
+    # buffer, unseen sources, and one bit plane per bit of n - 1. Its
+    # release (8 MB at n = 4096) also raises glibc's dynamic mmap and trim
+    # thresholds past the ~1 MB per-step temporaries of Sample.resample;
+    # below them the heap top is trimmed and faulted back in on every step
+    # (2.1 M minor faults, +3 s in a full-tau local search on the 64 x 64
+    # grid on a 2-core x86-64 machine).
+    words = -(-min(n, _BFS_BLOCK) // 64)
+    work = np.zeros((4 + (n - 1).bit_length(), n, words), dtype=np.uint64)
+    frontier, nxt, buf, unseen = work[:4]
+    planes = work[4:]
     for lo in range(0, n, _BFS_BLOCK):
-        block = np.arange(lo, min(lo + _BFS_BLOCK, n))
-        d = scipy.sparse.csgraph.shortest_path(
-            adj, method="D", unweighted=True, indices=block
-        )
+        b = min(_BFS_BLOCK, n - lo)
+        src = np.arange(b)
+        frontier.fill(0)
+        frontier[rank[lo:lo + b], src // 64] = one << (src % 64).astype(np.uint64)
+        np.invert(frontier, out=unseen)
+        level = 0
+        while True:
+            level += 1
+            # labels from len(head) on have no neighbors
+            np.take(frontier, head, axis=0, out=nxt[:len(head)], mode="clip")
+            nxt[len(head):] = 0
+            for nb in rest:
+                c = len(nb)
+                np.take(frontier, nb, axis=0, out=buf[:c], mode="clip")
+                np.bitwise_or(nxt[:c], buf[:c], out=nxt[:c])
+            np.bitwise_and(nxt, unseen, out=nxt)
+            if not nxt.any():
+                break
+            np.bitwise_xor(unseen, nxt, out=unseen)
+            for k in range(level.bit_length()):
+                if level >> k & 1:
+                    np.bitwise_or(planes[k], nxt, out=planes[k])
+            frontier, nxt = nxt, frontier
         if lo == 0:
-            bad = np.isinf(d[0])
+            # source 0 is bit 0 of word 0
+            bad = (unseen[rank, 0] & one).astype(bool)
             if bad.any():
                 raise DisconnectedGraphError(0, int(np.flatnonzero(bad)[0]))
-        out[lo:lo + len(d)] = d
+        used = planes[:(level - 1).bit_length()]
+        for r in range(0, n, _UNPACK_ROWS):
+            rows = rank[r:r + _UNPACK_ROWS]
+            out[r:r + _UNPACK_ROWS, lo:lo + b] = _unpack_planes(used, rows, b, out.dtype)
+        used.fill(0)
     return out
 
 
@@ -121,15 +210,14 @@ def build_graph(n: int, edges) -> Graph:
         canon.append(key)
     canon.sort()
     dist = distance_matrix(n, canon)
-    nbrs = _adjacency(n, canon)
-    deg = max((len(a) for a in nbrs), default=0)
+    indptr, indices = _csr(n, canon)
     return Graph(
         n=n,
         edges=tuple(canon),
-        neighbors=nbrs,
+        neighbors=tuple(np.split(indices, indptr[1:-1])),
         dist=dist,
         diameter=int(dist.max()),
-        max_degree=deg,
+        max_degree=int(np.diff(indptr).max()),
     )
 
 

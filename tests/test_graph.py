@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphbisect.graph
 from graphbisect.graph import (
     DisconnectedGraphError,
     branch_masks,
@@ -18,7 +22,7 @@ from graphbisect.graph import (
     save_edge_list,
 )
 
-from _reference import bfs_dist, brute_consistent, floyd_warshall
+from _reference import bfs_dist, brute_consistent, connected_atlas, floyd_warshall
 
 
 def random_connected(rng, n):
@@ -58,6 +62,68 @@ def test_distances_match_floyd_warshall(rng):
                 assert g.dist[i, j] == fw[i][j]
 
 
+def test_distances_match_floyd_warshall_on_atlas():
+    graphs = connected_atlas()
+    assert len(graphs) == 996
+    for n, edges in graphs:
+        d = distance_matrix(n, edges)
+        assert d.dtype == np.int16
+        assert d.tolist() == floyd_warshall(n, edges)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 1023, 1025])
+def test_distances_across_word_and_block_boundaries(n, rng):
+    # 64 sources share a word and 1024 a block: 63, 64 and 65 end one short
+    # of, on and one past a word boundary, 1023 and 1025 either side of a
+    # block boundary
+    edges = random_connected(rng, n)
+    d = distance_matrix(n, edges)
+    sources = {0, 62, n - 1, int(rng.integers(0, n))}
+    sources |= {s for s in (63, 64, 1023, 1024) if s < n}
+    for s in sorted(sources):
+        assert d[s].tolist() == bfs_dist(n, edges, s)
+    assert (d == d.T).all()
+
+
+def test_star_distances_and_peak_memory():
+    # one vertex of degree n - 1: each level gathers n - 1 neighbor slots
+    n = 3000
+    edges = [(0, v) for v in range(1, n)]
+    tracemalloc.start()
+    try:
+        d = distance_matrix(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expect = np.full((n, n), 2, dtype=np.int16)
+    expect[0, :] = expect[:, 0] = 1
+    np.fill_diagonal(expect, 0)
+    assert d.dtype == np.int16 and (d == expect).all()
+    assert peak < 2 * d.nbytes
+
+
+def test_int32_distances_past_int16_range(monkeypatch):
+    # a real matrix past INT16_MAX_N needs gigabytes, so lower the cut-off
+    n = 600
+    edges = [(i, i + 1) for i in range(n - 1)]
+    small = distance_matrix(n, edges)
+    monkeypatch.setattr(graphbisect.graph, "INT16_MAX_N", n - 1)
+    wide = distance_matrix(n, edges)
+    assert small.dtype == np.int16 and wide.dtype == np.int32
+    assert (wide == small).all()
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys, graphbisect, graphbisect.cli, graphbisect.harness; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    src = os.path.dirname(os.path.dirname(graphbisect.graph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_distance_matrix_properties(path5):
     d = path5.dist
     assert d[0, 4] == 4
@@ -78,13 +144,22 @@ def test_disconnected_rejected():
         build_graph(4, [(0, 1), (2, 3)])
     u, v = exc.value.unreachable_pair
     assert u != v and {u, v} <= {0, 1, 2, 3}
-    # vertex 599 is unreachable and lies beyond the first block of sources
+    # vertex 599, the last, is unreachable from 0
     with pytest.raises(DisconnectedGraphError) as exc:
         distance_matrix(600, [(i, i + 1) for i in range(598)])
     assert exc.value.unreachable_pair == (0, 599)
+    # the component of 0 spans two blocks of sources; 1501 is isolated
+    with pytest.raises(DisconnectedGraphError) as exc:
+        distance_matrix(1502, [(i, i + 1) for i in range(1500)])
+    assert exc.value.unreachable_pair == (0, 1501)
+    # vertex 5 has degree 0; the vertices past it hang off 4
+    with pytest.raises(DisconnectedGraphError) as exc:
+        distance_matrix(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6), (6, 7), (7, 8), (8, 9)])
+    assert exc.value.unreachable_pair == (0, 5)
 
 
 def test_distances_across_blocks():
+    # distances up to 599 fill ten bit planes, past the first byte of them
     n = 600
     d = distance_matrix(n, [(i, i + 1) for i in range(n - 1)])
     idx = np.arange(n)
