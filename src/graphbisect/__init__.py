@@ -24,7 +24,6 @@ from .harness import (
     bench_scaling,
     run_experiment,
     summarize,
-    verify_lemmas,
     write_csv,
 )
 from .oracle import AdversarialOracle, NoisyOracle
@@ -68,7 +67,6 @@ __all__ = [
     "bench_scaling",
     "run_experiment",
     "summarize",
-    "verify_lemmas",
     "write_csv",
     "AdversarialOracle",
     "NoisyOracle",

@@ -18,11 +18,11 @@ from .harness import (
     bench_scaling,
     run_experiment,
     summarize,
-    verify_lemmas,
     write_csv,
 )
 from .potential import median_report
 from .strategy import POLICIES
+from .verify import run_verification
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -155,9 +155,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_lemmas(
-        ExperimentSpec(seed=args.seed, quick_verify=args.quick)
-    )
+    report = run_verification(quick=args.quick, seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,7 +13,6 @@ import csv
 import math
 import os
 import time
-import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -22,13 +21,7 @@ import numpy as np
 from .graph import GRAPH_KINDS, Graph, generate
 from .oracle import ADVERSARY_SCHEDULES, ERROR_MODELS, TIE_BREAKS, AdversarialOracle, NoisyOracle
 from .strategy import POLICIES, derive_config, run_search
-from .verify import (
-    check_branch_bounds,
-    check_search_iterations,
-    check_sum_bookkeeping,
-    check_weight_drop,
-    run_verification,
-)
+from .verify import transcript_checks
 
 WORKERS_ENV = "GRAPHBISECT_WORKERS"
 
@@ -52,8 +45,6 @@ class ExperimentSpec:
     oracle_params: dict = field(default_factory=dict)
     verify: bool = False  # debug transcripts + per-cell invariant checks
     timing: bool = True  # wall-time columns; off makes rows byte-stable
-    measure_memory: bool = False
-    quick_verify: bool = False
     workers: int | None = None
 
     def __post_init__(self):
@@ -116,7 +107,6 @@ class ResultRow:
     search_iters_total: int
     query_time_mean: float
     query_time_p95: float
-    peak_mem: int
     check_violations: int
 
     def as_list(self) -> list:
@@ -169,8 +159,7 @@ def _error_row(spec: ExperimentSpec, trial: int, policy: str, seed: int, exc: Ex
         policy=policy, epsilon=spec.epsilon, p=spec.p, trial=trial, seed=seed,
         status=f"error:{type(exc).__name__}", success=0, queries=0,
         resamples_total=0, resamples_mean=0.0, search_iters_total=0,
-        query_time_mean=-1.0, query_time_p95=-1.0, peak_mem=-1,
-        check_violations=-1,
+        query_time_mean=-1.0, query_time_p95=-1.0, check_violations=-1,
     )
 
 
@@ -188,23 +177,10 @@ def _execute_cell(
             scale_queries=spec.scale_tau, scale_sample=spec.scale_s,
         )
         oracle = _make_oracle(spec, g, target, cfg, trial, pidx)
-        if spec.measure_memory:
-            tracemalloc.start()
         t = run_search(g, oracle, cfg, debug=spec.verify)
-        peak = -1
-        if spec.measure_memory:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-
         checks = -1
         if spec.verify:
-            reports = [check_weight_drop(t)]
-            if policy == "local-search":
-                reports.append(check_search_iterations(t, diameter=g.diameter))
-                reports.append(check_branch_bounds(t))
-            if policy == "global-sampled":
-                reports.append(check_sum_bookkeeping(t))
-            checks = sum(r["violations"] for r in reports)
+            checks = sum(r["violations"] for r in transcript_checks(t, g))
 
         steps = t.num_steps
         tmean = tp95 = -1.0
@@ -219,12 +195,10 @@ def _execute_cell(
             resamples_total=int(t.resampled.sum()),
             resamples_mean=float(t.resampled.mean()) if steps else 0.0,
             search_iters_total=int(t.search_iterations.sum()),
-            query_time_mean=tmean, query_time_p95=tp95, peak_mem=peak,
+            query_time_mean=tmean, query_time_p95=tp95,
             check_violations=checks,
         )
     except Exception as exc:
-        if spec.measure_memory and tracemalloc.is_tracing():
-            tracemalloc.stop()
         return _error_row(spec, trial, policy, run_seed, exc)
 
 
@@ -303,12 +277,6 @@ def summarize(rows: list[ResultRow]) -> dict:
         ok = s["runs"] - s["errors"]
         s["mean_queries"] = s.pop("queries") / ok if ok else 0.0
     return out
-
-
-def verify_lemmas(spec: ExperimentSpec) -> dict:
-    """Full verification report; deterministic-suite violations are what a
-    caller should turn into a nonzero exit status."""
-    return run_verification(quick=spec.quick_verify, seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------

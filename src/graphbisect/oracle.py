@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, branch_masks
+from .graph import Graph
+from .potential import branch_weights
 
 TIE_BREAKS = ("uniform-random", "lowest-id", "adversarial-weight")
 ERROR_MODELS = ("uniform-wrong", "adversarial-wrong")
@@ -33,11 +34,6 @@ def wrong_replies(g: Graph, target: int, q: int) -> np.ndarray:
     if q == target:
         return wrong
     return np.insert(wrong, np.searchsorted(wrong, q), q)
-
-
-def _reply_weights(g: Graph, omega: np.ndarray, q: int, ids: np.ndarray) -> np.ndarray:
-    """Surviving weight per candidate reply (ids are neighbors of q, or q)."""
-    return branch_masks(g.dist, q, ids) @ omega
 
 
 def _heaviest(ids: np.ndarray, weights: np.ndarray) -> int:
@@ -85,7 +81,7 @@ class NoisyOracle:
         if self.tie_break == "adversarial-weight":
             if omega is None:
                 raise ValueError("adversarial-weight tie break needs the weight vector")
-            return _heaviest(cands, _reply_weights(self.g, omega, q, cands))
+            return _heaviest(cands, branch_weights(omega, self.g, q, cands))
         return int(cands[self.rng.integers(len(cands))])
 
     def _pick_wrong(self, q: int, truth: int, omega) -> int:
@@ -95,7 +91,7 @@ class NoisyOracle:
         if self.error_model == "adversarial-wrong":
             if omega is None:
                 raise ValueError("adversarial-wrong errors need the weight vector")
-            return _heaviest(wrong, _reply_weights(self.g, omega, q, wrong))
+            return _heaviest(wrong, branch_weights(omega, self.g, q, wrong))
         # neighbors first and q last, the order the uniform draw has always
         # indexed, so seeded runs keep their replies wherever truth is unique
         wrong = np.concatenate([wrong[wrong != q], wrong[wrong == q]])
@@ -166,9 +162,9 @@ class AdversarialOracle:
             if omega is None:
                 raise ValueError("greedy-heavy needs the weight vector")
             wrong = wrong_replies(self.g, self.target, q)
-            truth_w = _reply_weights(self.g, omega, q, cands)
+            truth_w = branch_weights(omega, self.g, q, cands)
             if self.lies_spent < self.budget and len(wrong):
-                wrong_w = _reply_weights(self.g, omega, q, wrong)
+                wrong_w = branch_weights(omega, self.g, q, wrong)
                 if wrong_w.max() > truth_w.max():
                     self.lies_spent += 1
                     self.last_was_error = True

@@ -1,8 +1,13 @@
-"""Exact weighted potentials: distance sums, worst reply branches, medians.
+"""Exact weighted potentials: distance sums, reply-branch weights, medians.
 
-These are pure functions of a weight vector and a distance matrix, kept free
-of the sampling machinery so the oracle and the verification suites can use
-them on their own.
+These are pure functions of a vertex vector and a Graph, which owns the
+distances; they stay free of the sampling machinery so the oracle, the
+search loop and the verification suites share them. The vector is a weight
+vector or a sample's member counts: the branch weight of a reply is the
+vector's sum over the vertices that reply keeps consistent, which for
+counts is the number of members it keeps. Full potentials multiply by the
+graph's float64 matrix, whose products are bitwise those against the
+integer one.
 """
 
 from __future__ import annotations
@@ -12,41 +17,45 @@ import numpy as np
 from .graph import Graph, branch_masks
 
 
-def phi(omega: np.ndarray, dist: np.ndarray, v: int) -> float:
+def phi(omega: np.ndarray, g: Graph, v: int) -> float:
     """Weighted sum of distances from v."""
-    return float(dist[v] @ omega)
+    return float(g.dist[v] @ omega)
 
 
-def phi_all(omega: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def phi_all(omega: np.ndarray, g: Graph) -> np.ndarray:
     """Weighted distance sums for every vertex at once."""
-    return dist @ omega
+    return g.dist_float @ omega
 
 
-def exact_median(omega: np.ndarray, dist: np.ndarray) -> int:
+def exact_median(omega: np.ndarray, g: Graph) -> int:
     """Lowest-id minimizer of the weighted distance sum."""
-    return int(np.argmin(dist @ omega))
+    return int(np.argmin(g.dist_float @ omega))
 
 
-def branch_weights(omega: np.ndarray, g: Graph, dist: np.ndarray, v: int) -> np.ndarray:
-    """Consistent-set weight for each reply neighbor of v, in neighbor order.
+def branch_weights(
+    x: np.ndarray, g: Graph, v: int, replies: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum of x over the vertices each reply at v keeps, in reply order.
 
-    The query vertex itself is never on any branch.
+    replies are v itself or its neighbors and default to every neighbor of
+    v; x is a weight vector or a sample's counts. The query vertex itself
+    is never on a neighbor's branch.
     """
-    return branch_masks(dist, v, g.neighbors[v]) @ omega
+    if replies is None:
+        replies = g.neighbors[v]
+    return branch_masks(g.dist, v, replies) @ x
 
 
-def worst_branch_weight(omega: np.ndarray, g: Graph, dist: np.ndarray, v: int) -> float:
+def worst_branch_weight(x: np.ndarray, g: Graph, v: int) -> float:
     """Largest weight a single reply at v can keep alive; 0 for an isolated root."""
-    bw = branch_weights(omega, g, dist, v)
+    bw = branch_weights(x, g, v)
     return float(bw.max()) if len(bw) else 0.0
 
 
-def is_near_median(
-    omega: np.ndarray, g: Graph, dist: np.ndarray, v: int, slack: float
-) -> bool:
+def is_near_median(omega: np.ndarray, g: Graph, v: int, slack: float) -> bool:
     """True when every reply branch at v keeps at most (1/2 + slack) of the weight."""
     total = float(omega.sum())
-    return worst_branch_weight(omega, g, dist, v) <= (0.5 + slack) * total
+    return worst_branch_weight(omega, g, v) <= (0.5 + slack) * total
 
 
 def heavy_vertex(omega: np.ndarray, slack: float) -> int | None:
@@ -59,11 +68,8 @@ def heavy_vertex(omega: np.ndarray, slack: float) -> int | None:
 
 def median_report(omega: np.ndarray, g: Graph) -> dict:
     """Per-vertex potentials plus the median and its bisection bound."""
-    dist = g.dist
-    phis = g.dist_float @ omega
-    lambdas = np.array(
-        [worst_branch_weight(omega, g, dist, v) for v in range(g.n)]
-    )
+    phis = phi_all(omega, g)
+    lambdas = np.array([worst_branch_weight(omega, g, v) for v in range(g.n)])
     med = int(np.argmin(phis))
     total = float(omega.sum())
     return {

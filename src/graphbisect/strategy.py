@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, consistent_mask
-from .potential import exact_median, heavy_vertex, is_near_median
+from .potential import exact_median, heavy_vertex, is_near_median, worst_branch_weight
 from .sampling import Sample
 from .weights import WeightState
 
@@ -120,6 +120,26 @@ class SearchTranscript:
     sums_checked: int = 0
     sums_mismatches: int = 0
 
+    @classmethod
+    def allocate(
+        cls, config: StrategyConfig, n: int, target: int, steps: int
+    ) -> "SearchTranscript":
+        """A transcript with every column sized for `steps` steps, each at its
+        not-recorded value, and no answer yet."""
+        zeros = lambda dt: np.zeros(steps, dtype=dt)
+        unset = lambda dt: np.full(steps, -1, dtype=dt)
+        return cls(
+            config=config, n=n, target=target,
+            queries=zeros(np.int32), replies=zeros(np.int32),
+            reply_errors=unset(np.int8), resampled=zeros(np.int32),
+            search_iterations=zeros(np.int32),
+            search_start_sums=unset(np.int64), search_end_sums=unset(np.int64),
+            weight_before=zeros(np.float64), weight_after=zeros(np.float64),
+            heavy_before=unset(np.int32), query_near_median=unset(np.int8),
+            branch_bound_ok=unset(np.int8), step_seconds=zeros(np.float64),
+            answer=-1, success=False,
+        )
+
     @property
     def num_steps(self) -> int:
         return len(self.queries)
@@ -142,44 +162,20 @@ def local_search(
     """
     dist = g.dist
     counts = sample.counts
-    sums = sample.distance_sums
-
-    def phi_star(v: int) -> int:
-        if sums is not None:
-            return int(sums[v])
-        return int(dist[v] @ counts)
-
     v = start
-    phi_v = phi_star(v)
+    phi_v = int(dist[v] @ counts)
     phi_first = phi_v
     iters = 0
     while True:
         iters += 1
         nbrs = g.neighbors[v]
-        if sums is not None:
-            vals = sums[nbrs]
-        else:
-            vals = dist[nbrs] @ counts
+        vals = dist[nbrs] @ counts
         i = int(np.argmin(vals))
         phi_u = int(vals[i])
         if phi_u > phi_v - margin:
             return v, iters, phi_first, phi_v
         v = int(nbrs[i])
         phi_v = phi_u
-
-
-def _empty_transcript(cfg, n, target, answer, success):
-    z = lambda dt: np.zeros(0, dtype=dt)
-    return SearchTranscript(
-        config=cfg, n=n, target=target,
-        queries=z(np.int32), replies=z(np.int32), reply_errors=z(np.int8),
-        resampled=z(np.int32), search_iterations=z(np.int32),
-        search_start_sums=z(np.int64), search_end_sums=z(np.int64),
-        weight_before=z(np.float64), weight_after=z(np.float64),
-        heavy_before=z(np.int32), query_near_median=z(np.int8),
-        branch_bound_ok=z(np.int8), step_seconds=z(np.float64),
-        answer=answer, success=success,
-    )
 
 
 def run_search(
@@ -199,39 +195,25 @@ def run_search(
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown policy {cfg.policy!r}")
     n = g.n
-    if n == 1:
-        return _empty_transcript(cfg, n, oracle.target, 0, oracle.target == 0)
+    # a single vertex is the answer before any query
+    tau = cfg.num_queries if n > 1 else 0
+    t = SearchTranscript.allocate(cfg, n, oracle.target, tau)
+    if tau == 0:
+        t.answer, t.success = 0, oracle.target == 0
+        return t
 
-    tau = cfg.num_queries
     w = WeightState.uniform(n)
     rng = np.random.default_rng(cfg.seed)
     dist = g.dist
     sampled = cfg.policy in ("global-sampled", "local-search")
     track_sums = cfg.policy == "global-sampled"
-    # local search never multiplies by the whole matrix, so it never builds
-    # the graph's float copy
-    dist_float = g.dist_float if track_sums else None
     sample = None
     if sampled:
-        sample = Sample.draw(w, cfg.sample_size, rng, dist=dist, track_sums=track_sums)
-
-    t = SearchTranscript(
-        config=cfg, n=n, target=oracle.target,
-        queries=np.zeros(tau, dtype=np.int32),
-        replies=np.zeros(tau, dtype=np.int32),
-        reply_errors=np.full(tau, -1, dtype=np.int8),
-        resampled=np.zeros(tau, dtype=np.int32),
-        search_iterations=np.zeros(tau, dtype=np.int32),
-        search_start_sums=np.full(tau, -1, dtype=np.int64),
-        search_end_sums=np.full(tau, -1, dtype=np.int64),
-        weight_before=np.zeros(tau),
-        weight_after=np.zeros(tau),
-        heavy_before=np.full(tau, -1, dtype=np.int32),
-        query_near_median=np.full(tau, -1, dtype=np.int8),
-        branch_bound_ok=np.full(tau, -1, dtype=np.int8),
-        step_seconds=np.zeros(tau),
-        answer=-1, success=False,
-    )
+        # only the global scan reads every sum; local search reads a few
+        # distance rows per step
+        sample = Sample.draw(
+            w.omega, cfg.sample_size, rng, graph=g if track_sums else None
+        )
 
     dump = open(dump_path, "w") if dump_path else None
     prev_q = 0
@@ -240,7 +222,7 @@ def run_search(
             tic = time.perf_counter()
             heavy = heavy_vertex(w.omega, cfg.slack)
             if cfg.policy == "exact-median":
-                q = heavy if heavy is not None else exact_median(w.omega, g.dist_float)
+                q = heavy if heavy is not None else exact_median(w.omega, g)
             elif cfg.policy == "global-sampled":
                 q = select_query_global(sample)
             else:
@@ -258,10 +240,10 @@ def run_search(
 
             if debug:
                 t.query_near_median[step] = int(
-                    is_near_median(w.omega, g, dist, q, cfg.slack)
+                    is_near_median(w.omega, g, q, cfg.slack)
                 )
                 if cfg.policy == "local-search":
-                    lam = sample.max_branch_count(g, dist, q)
+                    lam = worst_branch_weight(sample.counts, g, q)
                     bound = cfg.sample_size * (1.0 + cfg.slack) / 2.0
                     t.branch_bound_ok[step] = int(lam <= bound + 1e-9)
 
@@ -269,12 +251,10 @@ def run_search(
             w.downweight(mask, cfg.gamma)
             t.weight_after[step] = w.renormalize()
             if sampled:
-                t.resampled[step] = sample.resample(
-                    mask, w, cfg.gamma, rng, dist, dist_float
-                )
+                t.resampled[step] = sample.resample(mask, w.omega, cfg.gamma, rng)
                 if debug and track_sums:
                     t.sums_checked += 1
-                    if not sample.verify_sums(dist):
+                    if not sample.verify_sums():
                         t.sums_mismatches += 1
 
             t.queries[step] = q

@@ -20,7 +20,7 @@ from .potential import (
     worst_branch_weight,
 )
 from .sampling import Sample
-from .strategy import SearchTranscript, derive_config, local_search, run_search
+from .strategy import POLICIES, SearchTranscript, derive_config, local_search, run_search
 from .weights import WeightState
 
 # slack for float comparisons against exact bounds; potentials are integers,
@@ -41,10 +41,6 @@ def random_weight_profile(rng: np.random.Generator, n: int) -> np.ndarray:
         w = rng.random(n) + 1e-3
         w[int(rng.integers(0, n))] *= 100.0
     return w
-
-
-def _weight_state(omega: np.ndarray) -> WeightState:
-    return WeightState(omega, np.zeros(len(omega), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +163,17 @@ def check_branch_bounds(t: SearchTranscript) -> dict:
     }
 
 
+def transcript_checks(t: SearchTranscript, g: Graph) -> list[dict]:
+    """Every checker that applies to a debug transcript of t's policy on g."""
+    reports = [check_weight_drop(t)]
+    if t.config.policy == "local-search":
+        reports.append(check_search_iterations(t, diameter=g.diameter))
+        reports.append(check_branch_bounds(t))
+    if t.config.policy == "global-sampled":
+        reports.append(check_sum_bookkeeping(t))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # Statistical and exhaustive suites.
 
@@ -194,8 +201,8 @@ def median_bisection_suite(weights_per_graph: int = 50, seed: int = 0) -> dict:
         g = build_graph(n, edges)
         for _ in range(weights_per_graph):
             w = random_weight_profile(rng, n)
-            med = exact_median(w, g.dist_float)
-            lam = worst_branch_weight(w, g, g.dist, med)
+            med = exact_median(w, g)
+            lam = worst_branch_weight(w, g, med)
             cases += 1
             if lam > 0.5 * float(w.sum()) * (1 + 1e-12):
                 violations += 1
@@ -229,11 +236,10 @@ def local_minimum_suite(instances: int = 1000, seed: int = 0) -> dict:
         g = _random_instance_graph(rng, n)
         delta = deltas[i % len(deltas)]
         size = math.ceil(8.0 * math.log(n) / delta**2)
-        ws = _weight_state(random_weight_profile(rng, n))
-        sample = Sample.draw(ws, size, rng)
+        sample = Sample.draw(random_weight_profile(rng, n), size, rng)
         start = int(rng.integers(0, n))
         v, _, _, _ = local_search(sample, g, start, margin=delta * size)
-        lam_star = sample.max_branch_count(g, g.dist, v)
+        lam_star = worst_branch_weight(sample.counts, g, v)
         if lam_star > size * (1.0 + delta) / 2.0 + _REL_TOL:
             violations += 1
     return {
@@ -259,14 +265,14 @@ def sampled_closeness_suite(
     good = 0
     for _ in range(trials):
         g = generate("erdos-renyi-connected", n, seed=int(rng.integers(2**31)))
-        ws = _weight_state(random_weight_profile(rng, n))
-        sample = Sample.draw(ws, size, rng, dist=g.dist, track_sums=True)
+        w = random_weight_profile(rng, n)
+        sample = Sample.draw(w, size, rng, graph=g)
         global_pick = int(np.argmin(sample.distance_sums))
         local_pick, _, _, _ = local_search(
             sample, g, int(rng.integers(0, n)), margin=delta * size
         )
-        ok_g = is_near_median(ws.omega, g, g.dist, global_pick, delta)
-        ok_l = is_near_median(ws.omega, g, g.dist, local_pick, delta)
+        ok_g = is_near_median(w, g, global_pick, delta)
+        ok_l = is_near_median(w, g, local_pick, delta)
         good += int(ok_g and ok_l)
     return {
         "name": "sampled-closeness",
@@ -291,12 +297,11 @@ def branch_estimate_suite(
         g = generate("erdos-renyi-connected", n, seed=int(rng.integers(2**31)))
         w = random_weight_profile(rng, n)
         total = float(w.sum())
-        ws = _weight_state(w)
-        sample = Sample.draw(ws, size, rng)
+        sample = Sample.draw(w, size, rng)
         ok = True
         for v in range(n):
-            lam = worst_branch_weight(w, g, g.dist, v) / total
-            lam_star = sample.max_branch_count(g, g.dist, v) / size
+            lam = worst_branch_weight(w, g, v) / total
+            lam_star = worst_branch_weight(sample.counts, g, v) / size
             if lam > lam_star + delta / 2.0 + _REL_TOL:
                 ok = False
                 break
@@ -328,12 +333,12 @@ def marginal_tv_suite(members: int = 100_000, seed: int = 0) -> dict:
     g = _cube_graph()
     rng = np.random.default_rng(seed)
     w = WeightState.uniform(8)
-    sample = Sample.draw(w, members, rng)
+    sample = Sample.draw(w.omega, members, rng)
     mask = consistent_mask(g.dist, 0, 1)
     gamma = 1.0 / 0.6
     w.downweight(mask, gamma)
     w.renormalize()
-    sample.resample(mask, w, gamma, rng)
+    sample.resample(mask, w.omega, gamma, rng)
     emp = sample.counts / sample.size
     ideal = w.omega / w.total
     tv = 0.5 * float(np.abs(emp - ideal).sum())
@@ -403,33 +408,12 @@ def run_verification(quick: bool = False, seed: int = 20260822) -> dict:
         suites.append(resample_tail_suite(seed=seed + 5))
 
     size = 16 if quick else 32
-    transcripts = []
-    for i, policy in enumerate(("exact-median", "global-sampled", "local-search")):
+    groups: dict[str, list[dict]] = {}
+    for i, policy in enumerate(POLICIES):
         g, t = _debug_run(policy, seed + 10 + i, n=size)
-        transcripts.append((policy, g, t))
-
-    drop = [check_weight_drop(t) for _, _, t in transcripts]
-    iters = [
-        check_search_iterations(t, diameter=g.diameter)
-        for _, g, t in transcripts
-        if t.config.policy == "local-search"
-    ]
-    books = [
-        check_sum_bookkeeping(t)
-        for _, _, t in transcripts
-        if t.config.policy == "global-sampled"
-    ]
-    caps = [
-        check_branch_bounds(t)
-        for _, _, t in transcripts
-        if t.config.policy == "local-search"
-    ]
-    for name, group in (
-        ("weight-drop", drop),
-        ("search-iterations", iters),
-        ("sum-bookkeeping", books),
-        ("local-minimum-branch-cap", caps),
-    ):
+        for r in transcript_checks(t, g):
+            groups.setdefault(r["name"], []).append(r)
+    for name, group in groups.items():
         merged = {
             "name": name,
             "deterministic": True,

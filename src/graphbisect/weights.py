@@ -65,6 +65,3 @@ class WeightState:
     def answer(self) -> int:
         """Lowest-id vertex with the fewest lies charged."""
         return int(np.argmin(self.lies))
-
-    def copy(self) -> "WeightState":
-        return WeightState(self.omega.copy(), self.lies.copy())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphbisect.graph import build_graph, generate
+from graphbisect.graph import branch_masks, build_graph, generate
+from graphbisect.oracle import truthful_candidates, wrong_replies
 from graphbisect.potential import (
     branch_weights,
     exact_median,
@@ -25,22 +26,42 @@ from test_graph import random_connected
 def test_path5_by_hand(path5):
     w = np.full(5, 0.2)
     # distances from the middle vertex are 2,1,0,1,2
-    assert phi(w, path5.dist, 2) == pytest.approx(6 / 5)
-    assert phi(w, path5.dist, 0) == pytest.approx((0 + 1 + 2 + 3 + 4) / 5)
-    assert exact_median(w, path5.dist) == 2
+    assert phi(w, path5, 2) == pytest.approx(6 / 5)
+    assert phi(w, path5, 0) == pytest.approx((0 + 1 + 2 + 3 + 4) / 5)
+    assert exact_median(w, path5) == 2
     # each side of the middle holds two of the five weight units
-    assert worst_branch_weight(w, path5, path5.dist, 2) == pytest.approx(2 / 5)
-    bw = branch_weights(w, path5, path5.dist, 2)
+    assert worst_branch_weight(w, path5, 2) == pytest.approx(2 / 5)
+    bw = branch_weights(w, path5, 2)
     assert bw.tolist() == pytest.approx([2 / 5, 2 / 5])
+
+
+@pytest.mark.parametrize("graph", ["grid9", "er16"])
+def test_branch_weights_match_branch_masks_bytewise(graph, request, rng):
+    # the oracle's truthful and wrong reply sets, and the default of every
+    # neighbor, all sum through the one matvec the masks define
+    if graph == "er16":
+        g = generate("erdos-renyi-connected", 16, seed=3)
+    else:
+        g = request.getfixturevalue(graph)
+    w = positive_weights(rng, g.n)
+    counts = rng.integers(0, 50, g.n).astype(np.int64)
+    for q in range(g.n):
+        nbrs = g.neighbors[q]
+        assert branch_weights(w, g, q).tobytes() == (branch_masks(g.dist, q, nbrs) @ w).tobytes()
+        assert branch_weights(counts, g, q).tolist() == (branch_masks(g.dist, q, nbrs) @ counts).tolist()
+        for target in range(g.n):
+            for ids in (truthful_candidates(g, target, q), wrong_replies(g, target, q)):
+                ref = branch_masks(g.dist, q, ids) @ w
+                assert branch_weights(w, g, q, ids).tobytes() == ref.tobytes()
 
 
 def test_path4_median_tie_lowest_id():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     w = np.full(4, 0.25)
-    assert phi(w, g.dist, 1) == pytest.approx(phi(w, g.dist, 2))
-    assert exact_median(w, g.dist) == 1
+    assert phi(w, g, 1) == pytest.approx(phi(w, g, 2))
+    assert exact_median(w, g) == 1
     p2 = build_graph(2, [(0, 1)])
-    assert exact_median(np.full(2, 0.5), p2.dist) == 0
+    assert exact_median(np.full(2, 0.5), p2) == 0
 
 
 def test_matches_brute_force(rng):
@@ -50,9 +71,9 @@ def test_matches_brute_force(rng):
         g = build_graph(n, edges)
         w = positive_weights(rng, n)
         v = int(rng.integers(0, n))
-        assert phi(w, g.dist, v) == pytest.approx(brute_phi(n, edges, w, v))
-        assert exact_median(w, g.dist) == brute_median(n, edges, w)
-        assert worst_branch_weight(w, g, g.dist, v) == pytest.approx(
+        assert phi(w, g, v) == pytest.approx(brute_phi(n, edges, w, v))
+        assert exact_median(w, g) == brute_median(n, edges, w)
+        assert worst_branch_weight(w, g, v) == pytest.approx(
             brute_worst_branch(n, edges, w, v)
         )
 
@@ -60,9 +81,9 @@ def test_matches_brute_force(rng):
 def test_phi_all_consistent(rng):
     g = generate("erdos-renyi-connected", 30, seed=4)
     w = positive_weights(rng, 30)
-    vals = phi_all(w, g.dist)
+    vals = phi_all(w, g)
     for v in range(30):
-        assert vals[v] == pytest.approx(phi(w, g.dist, v))
+        assert vals[v] == pytest.approx(phi(w, g, v))
 
 
 def test_heavy_vertex_detection():
@@ -86,23 +107,23 @@ def test_heavy_vertex_is_median(rng):
         v = int(rng.integers(0, n))
         w[v] = w.sum() * 2.0
         assert heavy_vertex(w, 0.05) == v
-        assert exact_median(w, g.dist) == v
+        assert exact_median(w, g) == v
 
 
 def test_near_median_slack_monotone(path5):
     w = np.array([0.05, 0.05, 0.3, 0.3, 0.3])
-    med = exact_median(w, path5.dist)
-    assert is_near_median(w, path5, path5.dist, med, 0.0)
+    med = exact_median(w, path5)
+    assert is_near_median(w, path5, med, 0.0)
     # a leaf keeps almost everything on one branch
-    assert not is_near_median(w, path5, path5.dist, 0, 0.2)
+    assert not is_near_median(w, path5, 0, 0.2)
 
 
 def test_single_vertex_graph():
     g = build_graph(1, [])
     w = np.array([1.0])
-    assert exact_median(w, g.dist) == 0
-    assert worst_branch_weight(w, g, g.dist, 0) == 0.0
-    assert is_near_median(w, g, g.dist, 0, 0.0)
+    assert exact_median(w, g) == 0
+    assert worst_branch_weight(w, g, 0) == 0.0
+    assert is_near_median(w, g, 0, 0.0)
 
 
 def test_median_report(grid9):

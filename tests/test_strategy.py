@@ -124,9 +124,8 @@ def test_local_search_iteration_bound(rng):
     # iterations never exceed 1 + (potential drop) / margin
     for _ in range(30):
         g = generate("erdos-renyi-connected", 24, seed=int(rng.integers(1e6)))
-        w = WeightState.uniform(24)
-        w.omega = rng.random(24) + 1e-3
-        s = Sample.draw(w, 500, np.random.default_rng(int(rng.integers(1e6))))
+        omega = rng.random(24) + 1e-3
+        s = Sample.draw(omega, 500, np.random.default_rng(int(rng.integers(1e6))))
         margin = 0.05 * 500
         start = int(rng.integers(0, 24))
         v, iters, s0, s1 = local_search(s, g, start, margin)
