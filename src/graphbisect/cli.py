@@ -59,13 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="CSV path, default results.csv")
     run.add_argument("--oracle", default=None, choices=("noisy", "adversarial"))
     run.add_argument("--oracle-params", default=None, help="oracle options as JSON")
-    run.add_argument("--workers", type=int, default=None)
+    run.add_argument("--workers", type=int, default=None,
+                     help="run trials on this many processes")
     run.add_argument("--no-timing", action="store_true",
                      help="omit wall-time columns so rows are byte-stable")
     run.add_argument("--verify", action="store_true",
                      help="debug transcripts, check invariants per cell")
-    run.add_argument("--bench", action="store_true",
-                     help="also time scaling at n/4, n/2, n after the run")
 
     ver = sub.add_parser("verify", help="run the lemma verification suites")
     ver.add_argument("--quick", action="store_true")
@@ -141,16 +140,6 @@ def _cmd_run(args) -> int:
     rows = write_csv(run_experiment(spec), out)
     print(json.dumps({"csv": out, "rows": len(rows), "policies": summarize(rows)},
                      indent=2))
-    if args.bench:
-        sizes = sorted({max(8, spec.n // 4), max(12, spec.n // 2), max(16, spec.n)})
-        report = bench_scaling(
-            sizes, kind=spec.graph, epsilon=spec.epsilon,
-            policies=spec.policies, seed=spec.seed, grid_compare=False,
-        )
-        bench_out = out + ".bench.json"
-        with open(bench_out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"bench report: {bench_out}")
     return 0
 
 

@@ -236,7 +236,14 @@ def branch_masks(dist: np.ndarray, q: int, replies) -> np.ndarray:
 
 
 def consistent_mask(dist: np.ndarray, q: int, reply: int) -> np.ndarray:
-    """Boolean mask of targets consistent with hearing `reply` at query `q`."""
+    """Boolean mask of targets consistent with hearing `reply` at query `q`.
+
+    Raises ValueError unless `reply` is an integer vertex id that is q
+    itself or one of its neighbors.
+    """
+    n = len(dist)
+    if not isinstance(reply, (int, np.integer)) or not 0 <= reply < n:
+        raise ValueError(f"reply {reply!r} is not a vertex id in [0, {n})")
     if reply != q and dist[q, reply] != 1:
         raise ValueError(f"reply {reply} is neither query {q} nor a neighbor")
     return branch_masks(dist, q, reply)

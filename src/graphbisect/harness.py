@@ -12,18 +12,15 @@ from __future__ import annotations
 import csv
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .graph import GRAPH_KINDS, Graph, generate
-from .oracle import ADVERSARY_SCHEDULES, ERROR_MODELS, TIE_BREAKS, AdversarialOracle, NoisyOracle
+from .oracle import AdversarialOracle, NoisyOracle
 from .strategy import POLICIES, derive_config, run_search
 from .verify import transcript_checks
-
-WORKERS_ENV = "GRAPHBISECT_WORKERS"
 
 
 @dataclass
@@ -45,7 +42,7 @@ class ExperimentSpec:
     oracle_params: dict = field(default_factory=dict)
     verify: bool = False  # debug transcripts + per-cell invariant checks
     timing: bool = True  # wall-time columns; off makes rows byte-stable
-    workers: int | None = None
+    workers: int | None = None  # processes that run whole trials; None runs in-process
 
     def __post_init__(self):
         if isinstance(self.policies, str):
@@ -134,23 +131,9 @@ def _make_oracle(spec: ExperimentSpec, g: Graph, target: int, cfg, trial: int, p
         if budget is None:
             budget = math.floor(cfg.error_rate * cfg.num_queries)
         return AdversarialOracle(
-            g,
-            target,
-            int(budget),
-            schedule=opts.pop("schedule", "greedy-heavy"),
-            rng=rng,
-            horizon=cfg.num_queries,
-            **opts,
+            g, target, int(budget), rng=rng, horizon=cfg.num_queries, **opts
         )
-    return NoisyOracle(
-        g,
-        target,
-        cfg.noise_p,
-        rng,
-        tie_break=opts.pop("tie_break", "uniform-random"),
-        error_model=opts.pop("error_model", "uniform-wrong"),
-        **opts,
-    )
+    return NoisyOracle(g, target, cfg.noise_p, rng, **opts)
 
 
 def _error_row(spec: ExperimentSpec, trial: int, policy: str, seed: int, exc: Exception) -> ResultRow:
@@ -164,89 +147,96 @@ def _error_row(spec: ExperimentSpec, trial: int, policy: str, seed: int, exc: Ex
 
 
 def _execute_cell(
-    spec: ExperimentSpec, trial: int, pidx: int, graph_and_target=None
+    spec: ExperimentSpec, trial: int, pidx: int, run_seed: int, g: Graph, target: int
 ) -> ResultRow:
     policy = spec.policies[pidx]
-    run_seed = _seed_int(spec.seed, trial, 3, pidx)
+    cfg = derive_config(
+        spec.epsilon, spec.n, policy, seed=run_seed,
+        scale_queries=spec.scale_tau, scale_sample=spec.scale_s,
+    )
+    oracle = _make_oracle(spec, g, target, cfg, trial, pidx)
+    t = run_search(g, oracle, cfg, debug=spec.verify)
+    checks = -1
+    if spec.verify:
+        checks = sum(r["violations"] for r in transcript_checks(t, g))
+
+    steps = t.num_steps
+    tmean = tp95 = -1.0
+    if spec.timing and steps:
+        tmean = float(t.step_seconds.mean())
+        tp95 = float(np.percentile(t.step_seconds, 95))
+    return ResultRow(
+        graph=spec.graph, n=spec.n, m=g.m, diameter=g.diameter,
+        max_degree=g.max_degree, policy=policy, epsilon=spec.epsilon,
+        p=spec.p, trial=trial, seed=run_seed, status="ok",
+        success=int(t.success), queries=steps,
+        resamples_total=int(t.resampled.sum()),
+        resamples_mean=float(t.resampled.mean()) if steps else 0.0,
+        search_iters_total=int(t.search_iterations.sum()),
+        query_time_mean=tmean, query_time_p95=tp95,
+        check_violations=checks,
+    )
+
+
+def _run_trial(spec: ExperimentSpec, trial: int):
+    """Yield one ResultRow per policy of one trial, in policy order.
+
+    The trial's graph and target are built once and shared by every
+    policy. A failure to build them, or a failure in one policy's run,
+    becomes an error row, and the trial goes on.
+    """
     try:
-        if graph_and_target is None:
-            graph_and_target = _trial_instance(spec, trial)
-        g, target = graph_and_target
-        cfg = derive_config(
-            spec.epsilon, spec.n, policy, seed=run_seed,
-            scale_queries=spec.scale_tau, scale_sample=spec.scale_s,
-        )
-        oracle = _make_oracle(spec, g, target, cfg, trial, pidx)
-        t = run_search(g, oracle, cfg, debug=spec.verify)
-        checks = -1
-        if spec.verify:
-            checks = sum(r["violations"] for r in transcript_checks(t, g))
-
-        steps = t.num_steps
-        tmean = tp95 = -1.0
-        if spec.timing and steps:
-            tmean = float(t.step_seconds.mean())
-            tp95 = float(np.percentile(t.step_seconds, 95))
-        return ResultRow(
-            graph=spec.graph, n=spec.n, m=g.m, diameter=g.diameter,
-            max_degree=g.max_degree, policy=policy, epsilon=spec.epsilon,
-            p=spec.p, trial=trial, seed=run_seed, status="ok",
-            success=int(t.success), queries=steps,
-            resamples_total=int(t.resampled.sum()),
-            resamples_mean=float(t.resampled.mean()) if steps else 0.0,
-            search_iters_total=int(t.search_iterations.sum()),
-            query_time_mean=tmean, query_time_p95=tp95,
-            check_violations=checks,
-        )
+        instance = _trial_instance(spec, trial)
     except Exception as exc:
-        return _error_row(spec, trial, policy, run_seed, exc)
+        instance = exc
+    for pidx, policy in enumerate(spec.policies):
+        run_seed = _seed_int(spec.seed, trial, 3, pidx)
+        try:
+            if isinstance(instance, Exception):
+                raise instance
+            row = _execute_cell(spec, trial, pidx, run_seed, *instance)
+        except Exception as exc:
+            row = _error_row(spec, trial, policy, run_seed, exc)
+        yield row
 
 
-def _run_cell_packed(args) -> ResultRow:
-    spec_dict, trial, pidx = args
-    return _execute_cell(ExperimentSpec.from_dict(spec_dict), trial, pidx)
-
-
-def _worker_count(spec: ExperimentSpec) -> int:
-    if spec.workers is not None:
-        return max(1, spec.workers)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+# what a pool worker returns: generators do not pickle
+def _trial_rows(spec: ExperimentSpec, trial: int) -> list[ResultRow]:
+    return list(_run_trial(spec, trial))
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Yield one ResultRow per (trial, policy), in that order.
+    """Yield one ResultRow per (trial, policy), trial-major.
 
-    Cell failures become error rows and the run continues. With more than
-    one worker, cells run on a process pool but arrive in the same order.
+    Failures become error rows and the run continues. With `workers` above
+    one, whole trials run on a process pool (each worker builds its
+    trial's graph once for all policies) and their rows arrive in the same
+    order as in a serial run. A one-trial spec always runs in-process.
     """
-    cells = [(trial, pidx) for trial in range(spec.trials) for pidx in range(len(spec.policies))]
-    workers = _worker_count(spec)
-    if workers == 1:
+    workers = min(spec.workers or 1, spec.trials)
+    if workers <= 1:
         for trial in range(spec.trials):
-            try:
-                instance = _trial_instance(spec, trial)
-            except Exception as exc:
-                for pidx in range(len(spec.policies)):
-                    yield _error_row(
-                        spec, trial, spec.policies[pidx],
-                        _seed_int(spec.seed, trial, 3, pidx), exc,
-                    )
-                continue
-            for pidx in range(len(spec.policies)):
-                yield _execute_cell(spec, trial, pidx, instance)
+            yield from _run_trial(spec, trial)
         return
-    packed = [(spec.to_dict(), trial, pidx) for trial, pidx in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_cell_packed, packed, chunksize=1)
+        for rows in pool.map(_trial_rows, [spec] * spec.trials, range(spec.trials)):
+            yield from rows
 
 
 def write_csv(rows, path) -> list[ResultRow]:
     """Append rows to a CSV, writing the header only on an empty file.
 
-    Each row is flushed as it arrives so partial runs leave usable output.
-    Returns the rows for further summarizing.
+    A non-empty file must start with the CSV_COLUMNS header, or ValueError
+    is raised and the file is left as it was: rows of another layout would
+    not line up under its header. Each row is flushed as it arrives so
+    partial runs leave usable output. Returns the rows for further
+    summarizing.
     """
     header_needed = not (os.path.exists(path) and os.path.getsize(path) > 0)
+    if not header_needed:
+        with open(path, newline="") as fh:
+            if next(csv.reader(fh), None) != CSV_COLUMNS:
+                raise ValueError(f"{path}: header is not CSV_COLUMNS; write to a new file")
     collected = []
     with open(path, "a", newline="") as fh:
         w = csv.writer(fh)

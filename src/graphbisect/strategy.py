@@ -204,7 +204,6 @@ def run_search(
 
     w = WeightState.uniform(n)
     rng = np.random.default_rng(cfg.seed)
-    dist = g.dist
     sampled = cfg.policy in ("global-sampled", "local-search")
     track_sums = cfg.policy == "global-sampled"
     sample = None
@@ -232,11 +231,10 @@ def run_search(
                 t.search_end_sums[step] = s1
 
             reply = oracle.reply(q, weights=w)
-            if reply != q and dist[q, reply] != 1:
-                raise SearchProtocolError(
-                    f"step {step}: reply {reply} is neither query {q} nor a neighbor"
-                )
-            mask = consistent_mask(dist, q, reply)
+            try:
+                mask = consistent_mask(g.dist, q, reply)
+            except ValueError as exc:
+                raise SearchProtocolError(f"step {step}: {exc}") from exc
 
             if debug:
                 t.query_near_median[step] = int(

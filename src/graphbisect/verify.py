@@ -352,16 +352,27 @@ def marginal_tv_suite(members: int = 100_000, seed: int = 0) -> dict:
     }
 
 
+def _noisy_run(policy: str, seed: int, n: int, epsilon: float, debug: bool):
+    """One full noisy search on a seeded ER graph; returns (graph, transcript)."""
+    rng = np.random.default_rng(seed)
+    g = generate("erdos-renyi-connected", n, seed=int(rng.integers(2**31)))
+    cfg = derive_config(epsilon, n, policy, seed=int(rng.integers(2**31)))
+    oracle = NoisyOracle(
+        g,
+        int(rng.integers(0, n)),
+        cfg.noise_p,
+        np.random.default_rng(int(rng.integers(2**31))),
+    )
+    return g, run_search(g, oracle, cfg, debug=debug)
+
+
 def resample_tail_suite(seed: int = 0, epsilon: float = 0.2, n: int = 64) -> dict:
     """Across one full noisy run, redraw counts stay under 4*s*epsilon in at
     least 99% of the steps; the mean is reported against its 2*s*epsilon cap."""
-    rng = np.random.default_rng(seed)
-    g = generate("erdos-renyi-connected", n, seed=int(rng.integers(2**31)))
-    cfg = derive_config(epsilon, n, "global-sampled", seed=int(rng.integers(2**31)))
-    oracle = NoisyOracle(
-        g, int(rng.integers(0, n)), cfg.noise_p, np.random.default_rng(int(rng.integers(2**31)))
-    )
-    t = run_search(g, oracle, cfg)
+    # no debug checks: they would add a sixth to this run, and
+    # run_verification makes them on shorter runs of every policy
+    _, t = _noisy_run("global-sampled", seed, n, epsilon, debug=False)
+    cfg = t.config
     cap = 4.0 * cfg.sample_size * epsilon
     frac = float((t.resampled <= cap).mean())
     return {
@@ -378,19 +389,6 @@ def resample_tail_suite(seed: int = 0, epsilon: float = 0.2, n: int = 64) -> dic
 
 # ---------------------------------------------------------------------------
 # Aggregate entry point used by the CLI.
-
-
-def _debug_run(policy: str, seed: int, n: int = 32, epsilon: float = 0.2):
-    rng = np.random.default_rng(seed)
-    g = generate("erdos-renyi-connected", n, seed=int(rng.integers(2**31)))
-    cfg = derive_config(epsilon, n, policy, seed=int(rng.integers(2**31)))
-    oracle = NoisyOracle(
-        g,
-        int(rng.integers(0, n)),
-        cfg.noise_p,
-        np.random.default_rng(int(rng.integers(2**31))),
-    )
-    return g, run_search(g, oracle, cfg, debug=True)
 
 
 def run_verification(quick: bool = False, seed: int = 20260822) -> dict:
@@ -410,7 +408,7 @@ def run_verification(quick: bool = False, seed: int = 20260822) -> dict:
     size = 16 if quick else 32
     groups: dict[str, list[dict]] = {}
     for i, policy in enumerate(POLICIES):
-        g, t = _debug_run(policy, seed + 10 + i, n=size)
+        g, t = _noisy_run(policy, seed + 10 + i, size, 0.2, debug=True)
         for r in transcript_checks(t, g):
             groups.setdefault(r["name"], []).append(r)
     for name, group in groups.items():

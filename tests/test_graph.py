@@ -225,6 +225,10 @@ def test_consistency_partition(path5):
 def test_consistency_rejects_non_neighbor(path5):
     with pytest.raises(ValueError):
         consistent_mask(path5.dist, 0, 2)
+    # -1 would index vertex 4, a neighbor of 3; 5 is past the last row
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="not a vertex id"):
+            consistent_mask(path5.dist, 3, bad)
 
 
 def test_self_reply_isolates_query(path5):

@@ -131,6 +131,17 @@ class TestRunExperiment:
         serial = [r.as_list() for r in run_experiment(spec)]
         par = [r.as_list() for r in run_experiment(_spec(trials=2, n=8, workers=2))]
         assert serial == par
+        # error rows too: a generator that cannot build the graph, and an
+        # oracle that rejects its params
+        for kw in (
+            dict(graph="random-regular", n=9, params={"degree": 3}),
+            dict(oracle_params={"bogus": 1}),
+        ):
+            base = dict(trials=2, policies=("exact-median", "local-search"), **kw)
+            serial = [r.as_list() for r in run_experiment(_spec(**base))]
+            par = list(run_experiment(_spec(workers=2, **base)))
+            assert serial == [r.as_list() for r in par]
+            assert all(r.status.startswith("error:") for r in par)
 
 
 class TestCsv:
@@ -144,6 +155,16 @@ class TestCsv:
         assert lines[0] == CSV_COLUMNS
         assert len(lines) == 1 + 4
         assert all(row[0] == "path" for row in lines[1:])
+
+    def test_append_refuses_a_foreign_header(self, tmp_path):
+        # the 20-column layout of older versions, with its peak_mem column
+        path = tmp_path / "old.csv"
+        old_header = ",".join(CSV_COLUMNS[:-1] + ["peak_mem", CSV_COLUMNS[-1]])
+        path.write_text(old_header + "\r\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="old.csv"):
+            write_csv(run_experiment(_spec(trials=1)), path)
+        assert path.read_bytes() == before
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = _spec(trials=3)

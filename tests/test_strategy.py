@@ -208,6 +208,18 @@ def test_protocol_violation_aborts(path5):
     with pytest.raises(SearchProtocolError):
         run_search(path5, BrokenOracle(), cfg)
 
+    class ConstantOracle(BrokenOracle):
+        def __init__(self, value):
+            self.value = value
+
+        def reply(self, q, weights=None):
+            return self.value
+
+    # out-of-range ids name no vertex; -1 would otherwise index the last one
+    for bad in (-1, path5.n):
+        with pytest.raises(SearchProtocolError, match="step 0:"):
+            run_search(path5, ConstantOracle(bad), cfg)
+
 
 def test_debug_transcript_flags():
     g = generate("erdos-renyi-connected", 12, seed=21)
