@@ -30,12 +30,14 @@ class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
     neighbors[v] holds v's neighbors as an ascending int32 array. dist
-    holds hop counts for every pair; it is int16 up to n = INT16_MAX_N (the
-    diameter is below n), which halves the memory traffic of the hot loops
-    that stream distance rows, and int32 past it. dist_float is the same
-    matrix as float64 for full matvecs against weights or counts; it is
-    lazy, built on first access and cached, so a graph whose searches never
-    multiply by the whole matrix never pays for it.
+    holds hop counts for every pair in the narrowest signed type whose
+    maximum exceeds the diameter (see _dist_dtype): one byte per pair up to
+    D = 126, which covers the small-diameter graphs the search targets and
+    cuts the memory traffic of the hot loops that stream distance rows.
+    dist_float is the same matrix as float64 for full matvecs against
+    weights or counts; it is lazy, built on first access and cached, so a
+    graph whose searches never multiply by the whole matrix never pays for
+    it.
     """
 
     n: int
@@ -47,8 +49,8 @@ class Graph:
 
     @functools.cached_property
     def dist_float(self) -> np.ndarray:
-        # numpy casts int16 @ float64 to this same matrix before its dgemv,
-        # so products against it are bitwise those against dist
+        # numpy casts an integer dist @ float64 to this same matrix before
+        # its dgemv, so products against it are bitwise those against dist
         return self.dist.astype(np.float64)
 
     @property
@@ -70,8 +72,19 @@ def _csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return indptr, dst[np.lexsort((dst, src))].astype(np.int32)
 
 
-# largest n whose distances are stored as int16 (diameter < n <= this)
-INT16_MAX_N = 32000
+# candidate distance dtypes, narrowest first
+_DIST_DTYPES = (np.int8, np.int16, np.int32)
+
+
+def _dist_dtype(diameter: int) -> np.dtype:
+    """Narrowest signed dtype whose maximum exceeds `diameter`: int8 for
+    D <= 126, int16 for D <= 32 766, int32 above. One value of headroom lets
+    branch_masks form 1 + dist without overflow."""
+    for t in _DIST_DTYPES:
+        if diameter < np.iinfo(t).max:
+            return np.dtype(t)
+    raise ValueError(f"diameter {diameter} exceeds every distance dtype")
+
 
 _BFS_BLOCK = 1024  # sources per bit-parallel BFS, 64 to a uint64 word
 _UNPACK_ROWS = 256  # vertices per chunk when the bit planes become distances
@@ -123,7 +136,10 @@ def distance_matrix(n: int, edges) -> np.ndarray:
     """All-pairs hop distances via breadth-first search from every vertex.
 
     Raises DisconnectedGraphError(0, v) for the lowest vertex v unreachable
-    from 0. Output dtype is int16 when n <= INT16_MAX_N, int32 otherwise.
+    from 0. The output dtype is _dist_dtype(diameter): the matrix starts as
+    int8 and, when a block of sources reaches deeper than the current dtype
+    allows, moves to the next wider one, copying only the columns already
+    written, so the result depends on the diameter alone.
 
     Sources run in blocks of _BFS_BLOCK, one bit each in per-vertex uint64
     words, so one level of the search advances every source of the block:
@@ -141,7 +157,7 @@ def distance_matrix(n: int, edges) -> np.ndarray:
         raise ValueError("graph needs at least one vertex")
     rank, slots = _slot_neighbors(n, edges)
     head, rest = (slots[0], slots[1:]) if slots else (rank[:0], [])
-    out = np.empty((n, n), dtype=np.int16 if n <= INT16_MAX_N else np.int32)
+    out = np.empty((n, n), dtype=_dist_dtype(0))
     one = np.uint64(1)
     # One workspace serves every block: frontier, next frontier, gather
     # buffer, unseen sources, and one bit plane per bit of n - 1. Its
@@ -183,6 +199,12 @@ def distance_matrix(n: int, edges) -> np.ndarray:
             bad = (unseen[rank, 0] & one).astype(bool)
             if bad.any():
                 raise DisconnectedGraphError(0, int(np.flatnonzero(bad)[0]))
+        # the block's deepest level is level - 1
+        need = _dist_dtype(level - 1)
+        if need.itemsize > out.itemsize:
+            wide = np.empty((n, n), dtype=need)
+            wide[:, :lo] = out[:, :lo]
+            out = wide
         used = planes[:(level - 1).bit_length()]
         for r in range(0, n, _UNPACK_ROWS):
             rows = rank[r:r + _UNPACK_ROWS]

@@ -29,6 +29,20 @@ def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(omega) - 1).astype(np.int32)
 
 
+def _distance_sums(graph: Graph, x: np.ndarray) -> np.ndarray:
+    """dist @ x for an integer vector x, exactly, as int64.
+
+    A sparse x sums the few rows it touches (dist is symmetric); a dense
+    one takes one BLAS matvec against the cached float64 matrix, exact since
+    the sums stay far below 2**53. Neither casts the whole integer matrix to
+    int64, as dist @ x would.
+    """
+    nz = np.flatnonzero(x)
+    if len(nz) * 16 < len(x):
+        return x[nz] @ graph.dist[nz, :]
+    return (graph.dist_float @ x.astype(np.float64)).astype(np.int64)
+
+
 def draw_indices(omega: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k independent vertex ids, each drawn proportionally to omega."""
     return draw_indices_from(omega, rng.random(k))
@@ -59,7 +73,7 @@ class Sample:
             raise ValueError("sample size must be positive")
         members = draw_indices(omega, size, rng)
         counts = np.bincount(members, minlength=len(omega)).astype(np.int64)
-        sums = None if graph is None else graph.dist @ counts
+        sums = None if graph is None else _distance_sums(graph, counts)
         return cls(members=members, counts=counts, distance_sums=sums, graph=graph)
 
     @property
@@ -81,8 +95,8 @@ class Sample:
         are consumed in positional order: one coin per inconsistent member,
         then one uniform per failed coin.
 
-        Tracked distance sums are patched row by row when few counts
-        changed, and recomputed in one float64 matvec when many did.
+        Tracked distance sums move by dist @ delta, the change in counts
+        (see _distance_sums).
         """
         inv_gamma = 1.0 / gamma
         n = len(omega)
@@ -102,15 +116,7 @@ class Sample:
         delta = np.bincount(new, minlength=n) - np.bincount(old, minlength=n)
         self.counts += delta
         if self.distance_sums is not None:
-            ch = np.flatnonzero(delta)
-            if len(ch) * 16 >= n:
-                # wide updates: one BLAS matvec beats summing touched rows;
-                # distance sums stay far below 2**53, so it is exact
-                self.distance_sums = (
-                    self.graph.dist_float @ self.counts.astype(np.float64)
-                ).astype(np.int64)
-            else:
-                self.distance_sums += delta[ch] @ self.graph.dist[ch, :]
+            self.distance_sums += _distance_sums(self.graph, delta)
         return k
 
     def verify_sums(self) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import graphbisect.graph
 from graphbisect.graph import (
     DisconnectedGraphError,
+    _dist_dtype,
     branch_masks,
     build_graph,
     consistent_mask,
@@ -67,7 +68,7 @@ def test_distances_match_floyd_warshall_on_atlas():
     assert len(graphs) == 996
     for n, edges in graphs:
         d = distance_matrix(n, edges)
-        assert d.dtype == np.int16
+        assert d.dtype == np.int8
         assert d.tolist() == floyd_warshall(n, edges)
 
 
@@ -95,22 +96,53 @@ def test_star_distances_and_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expect = np.full((n, n), 2, dtype=np.int16)
+    expect = np.full((n, n), 2, dtype=np.int8)
     expect[0, :] = expect[:, 0] = 1
     np.fill_diagonal(expect, 0)
-    assert d.dtype == np.int16 and (d == expect).all()
+    assert d.dtype == np.int8 and (d == expect).all()
     assert peak < 2 * d.nbytes
 
 
 def test_int32_distances_past_int16_range(monkeypatch):
-    # a real matrix past INT16_MAX_N needs gigabytes, so lower the cut-off
+    # a diameter past the int16 range needs a gigabyte matrix, so drop the
+    # int16 rung: the path's D = 599 then widens int8 straight to int32
     n = 600
     edges = [(i, i + 1) for i in range(n - 1)]
     small = distance_matrix(n, edges)
-    monkeypatch.setattr(graphbisect.graph, "INT16_MAX_N", n - 1)
+    monkeypatch.setattr(graphbisect.graph, "_DIST_DTYPES", (np.int8, np.int32))
     wide = distance_matrix(n, edges)
     assert small.dtype == np.int16 and wide.dtype == np.int32
     assert (wide == small).all()
+
+
+@pytest.mark.parametrize(
+    "diameter, dtype",
+    [(0, np.int8), (126, np.int8), (127, np.int16), (32766, np.int16),
+     (32767, np.int32), (2**31 - 2, np.int32)],
+)
+def test_dist_dtype_leaves_room_for_one_more_hop(diameter, dtype):
+    assert _dist_dtype(diameter) == dtype
+    assert diameter + 1 <= np.iinfo(dtype).max
+
+
+def test_dist_dtype_past_every_rung():
+    with pytest.raises(ValueError):
+        _dist_dtype(2**31 - 1)
+
+
+def test_distances_widen_after_the_first_block():
+    # the sources of block 0, hub 0 and its leaves 1..1023, reach depth 102
+    # at most, which fits int8; the path 1024..1224 hangs off 0 at its
+    # middle vertex 1124, so D = 200 first shows in block 1
+    n = 1225
+    edges = [(0, v) for v in range(1, 1024)]
+    edges += [(v, v + 1) for v in range(1024, 1224)]
+    edges += [(0, 1124)]
+    d = distance_matrix(n, edges)
+    assert d.dtype == np.int16
+    assert int(d.max()) == 200
+    for s in range(n):
+        assert d[s].tolist() == bfs_dist(n, edges, s)
 
 
 def test_import_does_not_load_scipy():
@@ -234,6 +266,18 @@ def test_consistency_rejects_non_neighbor(path5):
 def test_self_reply_isolates_query(path5):
     mask = consistent_mask(path5.dist, 2, 2)
     assert mask.sum() == 1 and mask[2]
+
+
+def test_consistency_at_the_int8_edge():
+    # the path of 127 vertices has D = 126, the deepest int8 matrix: at
+    # either end 1 + dist reaches 127, the int8 maximum
+    n = 127
+    edges = [(i, i + 1) for i in range(n - 1)]
+    g = build_graph(n, edges)
+    assert g.dist.dtype == np.int8 and g.diameter == 126
+    for q, reply in ((0, 1), (126, 125)):
+        mask = consistent_mask(g.dist, q, reply)
+        assert np.flatnonzero(mask).tolist() == brute_consistent(n, edges, q, reply)
 
 
 @pytest.mark.parametrize("name", ["path5", "grid9", "cycle4"])

@@ -83,6 +83,21 @@ def test_wrong_reply_is_wrong_but_legal():
         assert oracle.last_was_error == (r not in cands)
 
 
+def test_replies_at_the_int8_edge():
+    # on the path of 127 vertices (D = 126, int8) the endpoints sit 126
+    # hops apart, so dist - 1 and the comparisons run at the dtype's edge
+    n = 127
+    edges = [(i, i + 1) for i in range(n - 1)]
+    g = build_graph(n, edges)
+    assert g.dist.dtype == np.int8
+    for target, q in ((0, 126), (126, 0), (0, 0), (126, 126)):
+        dt = bfs_dist(n, edges, target)
+        options = [int(u) for u in g.neighbors[q]] + [q]
+        honest = [q] if q == target else [u for u in options if u != q and dt[u] == dt[q] - 1]
+        assert truthful_candidates(g, target, q).tolist() == honest
+        assert wrong_replies(g, target, q).tolist() == sorted(set(options) - set(honest))
+
+
 @pytest.mark.parametrize("graph", ["grid9", "er16"])
 def test_wrong_replies_match_set_difference(graph, request):
     if graph == "er16":

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ def test_sample_draw_bookkeeping(grid9):
     assert Sample.draw(omega, 5, np.random.default_rng(0)).distance_sums is None
     with pytest.raises(ValueError):
         Sample.draw(omega, 0, np.random.default_rng(0))
+
+
+def test_draw_sums_without_an_int64_matrix():
+    # dist @ counts would cast the whole matrix to int64, eight bytes a
+    # pair; the draw reads the cached float64 copy instead
+    g = generate("grid", 1024, {"rows": 32, "cols": 32})
+    g.dist_float
+    tracemalloc.start()
+    try:
+        s = Sample.draw(np.full(g.n, 1.0 / g.n), 4000, np.random.default_rng(6), graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.dist.nbytes
+    assert s.verify_sums()
 
 
 def test_distance_sum_matches_members(path5):
