@@ -25,6 +25,12 @@ from graphbisect.verify import (
 )
 
 
+# the 100-trial criteria run whole trials on this many processes; rows
+# arrive as in a serial run (test_harness checks that), so only the wall
+# time changes
+TRIAL_WORKERS = 2
+
+
 @pytest.fixture
 def report(capfd):
     def go(num: int, desc: str, ok: bool, detail: str):
@@ -101,7 +107,7 @@ def test_criterion_05_adversarial_budget(report):
         for schedule in ("greedy-heavy", "random-schedule"):
             spec = ExperimentSpec(
                 graph=kind, n=64, epsilon=0.5, policies=("exact-median",),
-                trials=100, seed=7, timing=False,
+                trials=100, seed=7, timing=False, workers=TRIAL_WORKERS,
                 oracle="adversarial", oracle_params={"schedule": schedule},
             )
             succ = sum(r.success for r in run_experiment(spec))
@@ -119,6 +125,7 @@ def test_criterion_06_noisy_end_to_end(report):
     spec = ExperimentSpec(
         graph="erdos-renyi-connected", n=64, epsilon=0.2,
         policies=POLICIES, trials=100, seed=20260822, timing=False,
+        workers=TRIAL_WORKERS,
     )
     s = summarize(list(run_experiment(spec)))
     counts = {pol: s[pol]["successes"] for pol in POLICIES}
