@@ -1,8 +1,12 @@
-"""Undirected graph with precomputed hop distances, generators, and reply geometry.
+"""Undirected graph with hop distances, generators, and reply geometry.
 
-Every search component works against the same immutable Graph value: adjacency
-lists sorted ascending, a dense all-pairs distance matrix, and the consistency
-predicate that says which vertices a (query, reply) pair keeps alive.
+Every search component works against the same immutable Graph value:
+adjacency lists sorted ascending, hop distances read through one row
+interface, and the consistency predicate that says which vertices a (query,
+reply) pair keeps alive. Distance rows come from one bit-parallel BFS
+engine: a search that reads a few rows (local search, the oracle) runs it
+on just those sources, and a reader of the whole matrix (the exact median,
+the global sample's sums) builds all n * n entries once.
 """
 
 from __future__ import annotations
@@ -29,29 +33,99 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
-    neighbors[v] holds v's neighbors as an ascending int32 array. dist
-    holds hop counts for every pair in the narrowest signed type whose
+    neighbors[v] holds v's neighbors as an ascending int32 array. Distances
+    are read as rows: row(v) and rows(ids) return hop counts from v to
+    every vertex. Until something reads the dense matrix, each row is
+    computed on first request, the missing rows of one call in a single
+    BFS run together with rows near them (see _fill), and cached, so a
+    search holds only the rows around those it has read.
+
+    dist, dist_float and diameter are built on first access and cached.
+    dist holds hop counts for every pair in the narrowest signed type whose
     maximum exceeds the diameter (see _dist_dtype): one byte per pair up to
-    D = 126, which covers the small-diameter graphs the search targets and
-    cuts the memory traffic of the hot loops that stream distance rows.
-    dist_float is the same matrix as float64 for full matvecs against
-    weights or counts; it is lazy, built on first access and cached, so a
-    graph whose searches never multiply by the whole matrix never pays for
-    it.
+    D = 126. Building it checks every cached row against it, then drops
+    the cache; from then on row and rows return its rows. dist_float is the
+    same matrix as float64 for full matvecs against weights or counts.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[np.ndarray, ...] = field(repr=False)
-    dist: np.ndarray = field(repr=False)
-    diameter: int
     max_degree: int
+    # rows read before the dense matrix exists, by source vertex
+    _rows: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        d = distance_matrix(self.n, self._edge_array)
+        for v, row in self._rows.items():
+            if not np.array_equal(row, d[v]):
+                raise RuntimeError(f"cached distance row {v} differs from the all-pairs matrix")
+        self._rows.clear()
+        return d
 
     @functools.cached_property
     def dist_float(self) -> np.ndarray:
         # numpy casts an integer dist @ float64 to this same matrix before
         # its dgemv, so products against it are bitwise those against dist
         return self.dist.astype(np.float64)
+
+    @functools.cached_property
+    def diameter(self) -> int:
+        return int(self.dist.max())
+
+    @functools.cached_property
+    def _edge_array(self) -> np.ndarray:
+        return np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+
+    def row(self, v: int) -> np.ndarray:
+        """Hop distances from v to every vertex."""
+        if "dist" in self.__dict__:
+            return self.dist[v]
+        v = int(v)
+        self._fill([v])
+        return self._rows[v]
+
+    def rows(self, ids) -> np.ndarray:
+        """Hop distances from each vertex of ids to every vertex, one row
+        per id in order."""
+        if "dist" in self.__dict__:
+            return self.dist[ids]
+        ids = [int(v) for v in ids]
+        if not ids:
+            return np.zeros((0, self.n), dtype=_DIST_DTYPES[0])
+        self._fill(ids)
+        return np.stack([self._rows[v] for v in ids])
+
+    def _fill(self, ids: list[int]) -> None:
+        """Cache the rows of ids not cached yet, all from one BFS run.
+
+        The run holds one bit per source in uint64 words, and a word of
+        sources costs about as much as one, so it also takes the uncached
+        vertices nearest the missing ones, breadth first through the
+        neighbor lists, until its last word is full: a local-search walk
+        reads next the rows of the neighbors of the rows it just read.
+        """
+        cache = self._rows
+        missing = [v for v in dict.fromkeys(ids) if v not in cache]
+        if not missing:
+            return
+        full = -(-len(missing) // 64) * 64
+        seen = set(missing)
+        layer = missing
+        while layer and len(missing) < full:
+            nxt = []
+            for v in layer:
+                for u in self.neighbors[v].tolist():
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            layer = nxt
+            missing += [u for u in layer if u not in cache][:full - len(missing)]
+        block = distance_matrix(self.n, self._edge_array, missing)
+        cache.update(zip(missing, block))
 
     @property
     def m(self) -> int:
@@ -87,7 +161,8 @@ def _dist_dtype(diameter: int) -> np.dtype:
 
 
 _BFS_BLOCK = 1024  # sources per bit-parallel BFS, 64 to a uint64 word
-_UNPACK_ROWS = 256  # vertices per chunk when the bit planes become distances
+_UNPACK_ROWS = 256  # least vertices per chunk when the bit planes become distances
+_UNPACK_WORDS = 1024  # plane words per chunk when a block has few sources
 
 
 def _slot_neighbors(n: int, edges) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -132,14 +207,17 @@ def _unpack_planes(planes: np.ndarray, rows, b: int, dtype) -> np.ndarray:
     return out
 
 
-def distance_matrix(n: int, edges) -> np.ndarray:
-    """All-pairs hop distances via breadth-first search from every vertex.
+def distance_matrix(n: int, edges, sources=None) -> np.ndarray:
+    """Hop distances by breadth-first search: row i holds the distances
+    from sources[i] to every vertex.
 
-    Raises DisconnectedGraphError(0, v) for the lowest vertex v unreachable
-    from 0. The output dtype is _dist_dtype(diameter): the matrix starts as
-    int8 and, when a block of sources reaches deeper than the current dtype
-    allows, moves to the next wider one, copying only the columns already
-    written, so the result depends on the diameter alone.
+    sources are distinct vertex ids and default to every vertex in order,
+    which gives the symmetric all-pairs matrix. Raises DisconnectedGraphError(sources[0], v) for the
+    lowest vertex v unreachable from the first source. The output dtype is
+    _dist_dtype of the deepest distance found: the result starts as int8
+    and, when a block of sources reaches deeper than the current dtype
+    allows, moves to the next wider one, copying only the distances
+    already written, so the all-pairs dtype depends on the diameter alone.
 
     Sources run in blocks of _BFS_BLOCK, one bit each in per-vertex uint64
     words, so one level of the search advances every source of the block:
@@ -150,31 +228,39 @@ def distance_matrix(n: int, edges) -> np.ndarray:
     O((n + m) * _BFS_BLOCK / 64) word operations, so the whole matrix costs
     O(D * (n + m) * n / 64) for diameter D: far below one queue-based BFS
     per source when D is small, above it on long paths and cycles. The
-    planes are unpacked into the block's columns _UNPACK_ROWS vertices at
-    a time (the matrix is symmetric), so no temporary grows with n * n.
+    planes are unpacked a chunk of vertices at a time, so no temporary
+    grows with n * n.
     """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
+    all_pairs = sources is None
+    sources = np.arange(n) if all_pairs else np.asarray(sources, dtype=np.intp)
+    k = len(sources)
     rank, slots = _slot_neighbors(n, edges)
     head, rest = (slots[0], slots[1:]) if slots else (rank[:0], [])
-    out = np.empty((n, n), dtype=_dist_dtype(0))
+    out = np.empty((k, n), dtype=_dist_dtype(0))
+    # cols[v, i] is d(sources[i], v): a block of sources fills columns of
+    # it. The all-pairs matrix is symmetric and serves as its own cols,
+    # which keeps every write contiguous.
+    cols = out if all_pairs else out.T
     one = np.uint64(1)
     # One workspace serves every block: frontier, next frontier, gather
-    # buffer, unseen sources, and one bit plane per bit of n - 1. Its
-    # release (8 MB at n = 4096) also raises glibc's dynamic mmap and trim
-    # thresholds past the ~1 MB per-step temporaries of Sample.resample;
-    # below them the heap top is trimmed and faulted back in on every step
-    # (2.1 M minor faults, +3 s in a full-tau local search on the 64 x 64
-    # grid on a 2-core x86-64 machine).
-    words = -(-min(n, _BFS_BLOCK) // 64)
+    # buffer, unseen sources, and one bit plane per bit of n - 1
+    words = -(-min(k, _BFS_BLOCK) // 64)
     work = np.zeros((4 + (n - 1).bit_length(), n, words), dtype=np.uint64)
     frontier, nxt, buf, unseen = work[:4]
     planes = work[4:]
-    for lo in range(0, n, _BFS_BLOCK):
-        b = min(_BFS_BLOCK, n - lo)
+    # vertices per unpacked chunk: more when the block has few sources and
+    # a vertex holds few bits, but few enough that the chunk's temporaries
+    # (64 KB for a one-word block) stay small next to the workspace;
+    # larger ones are trimmed from the heap and faulted back in on every
+    # call
+    chunk = max(_UNPACK_ROWS, _UNPACK_WORDS // words)
+    for lo in range(0, k, _BFS_BLOCK):
+        b = min(_BFS_BLOCK, k - lo)
         src = np.arange(b)
         frontier.fill(0)
-        frontier[rank[lo:lo + b], src // 64] = one << (src % 64).astype(np.uint64)
+        frontier[rank[sources[lo:lo + b]], src // 64] = one << (src % 64).astype(np.uint64)
         np.invert(frontier, out=unseen)
         level = 0
         while True:
@@ -190,31 +276,36 @@ def distance_matrix(n: int, edges) -> np.ndarray:
             if not nxt.any():
                 break
             np.bitwise_xor(unseen, nxt, out=unseen)
-            for k in range(level.bit_length()):
-                if level >> k & 1:
-                    np.bitwise_or(planes[k], nxt, out=planes[k])
+            for j in range(level.bit_length()):
+                if level >> j & 1:
+                    np.bitwise_or(planes[j], nxt, out=planes[j])
             frontier, nxt = nxt, frontier
         if lo == 0:
-            # source 0 is bit 0 of word 0
+            # the first source is bit 0 of word 0
             bad = (unseen[rank, 0] & one).astype(bool)
             if bad.any():
-                raise DisconnectedGraphError(0, int(np.flatnonzero(bad)[0]))
+                raise DisconnectedGraphError(int(sources[0]), int(np.flatnonzero(bad)[0]))
         # the block's deepest level is level - 1
         need = _dist_dtype(level - 1)
         if need.itemsize > out.itemsize:
-            wide = np.empty((n, n), dtype=need)
-            wide[:, :lo] = out[:, :lo]
-            out = wide
+            wide = np.empty((k, n), dtype=need)
+            wide_cols = wide if all_pairs else wide.T
+            wide_cols[:, :lo] = cols[:, :lo]
+            out, cols = wide, wide_cols
         used = planes[:(level - 1).bit_length()]
-        for r in range(0, n, _UNPACK_ROWS):
-            rows = rank[r:r + _UNPACK_ROWS]
-            out[r:r + _UNPACK_ROWS, lo:lo + b] = _unpack_planes(used, rows, b, out.dtype)
+        for r in range(0, n, chunk):
+            rows = rank[r:r + chunk]
+            cols[r:r + chunk, lo:lo + b] = _unpack_planes(used, rows, b, out.dtype)
         used.fill(0)
     return out
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validate an edge list and assemble a Graph with distances attached."""
+    """Validate an edge list and assemble a Graph.
+
+    Connectivity is checked by one BFS from vertex 0, whose row the graph
+    keeps; every other distance is left for the first reader.
+    """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     seen = set()
@@ -231,19 +322,18 @@ def build_graph(n: int, edges) -> Graph:
         seen.add(key)
         canon.append(key)
     canon.sort()
-    dist = distance_matrix(n, canon)
     indptr, indices = _csr(n, canon)
-    return Graph(
+    g = Graph(
         n=n,
         edges=tuple(canon),
         neighbors=tuple(np.split(indices, indptr[1:-1])),
-        dist=dist,
-        diameter=int(dist.max()),
         max_degree=int(np.diff(indptr).max()),
     )
+    g._rows[0] = distance_matrix(n, g._edge_array, [0])[0]
+    return g
 
 
-def branch_masks(dist: np.ndarray, q: int, replies) -> np.ndarray:
+def branch_masks(g: Graph, q: int, replies) -> np.ndarray:
     """Consistent-target masks at query q, one boolean row per reply.
 
     The row of reply q ("you are at the target") is the one-hot row of q.
@@ -252,28 +342,29 @@ def branch_masks(dist: np.ndarray, q: int, replies) -> np.ndarray:
     reply, a set that never holds q itself. A single reply gives one row
     as a 1-D mask.
     """
-    masks = dist[q] == 1 + dist[replies]
+    near = g.row(replies) if np.ndim(replies) == 0 else g.rows(replies)
+    masks = g.row(q) == 1 + near
     masks[..., q] = np.equal(replies, q)
     return masks
 
 
-def consistent_mask(dist: np.ndarray, q: int, reply: int) -> np.ndarray:
+def consistent_mask(g: Graph, q: int, reply: int) -> np.ndarray:
     """Boolean mask of targets consistent with hearing `reply` at query `q`.
 
     Raises ValueError unless `reply` is an integer vertex id that is q
     itself or one of its neighbors.
     """
-    n = len(dist)
+    n = g.n
     if not isinstance(reply, (int, np.integer)) or not 0 <= reply < n:
         raise ValueError(f"reply {reply!r} is not a vertex id in [0, {n})")
-    if reply != q and dist[q, reply] != 1:
+    if reply != q and reply not in g.neighbors[q]:
         raise ValueError(f"reply {reply} is neither query {q} nor a neighbor")
-    return branch_masks(dist, q, reply)
+    return branch_masks(g, q, reply)
 
 
 def consistent_set(g: Graph, q: int, reply: int) -> np.ndarray:
     """Vertex ids consistent with (q, reply), ascending."""
-    return np.flatnonzero(consistent_mask(g.dist, q, reply)).astype(np.int32)
+    return np.flatnonzero(consistent_mask(g, q, reply)).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

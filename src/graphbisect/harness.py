@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -218,6 +217,9 @@ def run_experiment(spec: ExperimentSpec):
         for trial in range(spec.trials):
             yield from _run_trial(spec, trial)
         return
+    # imported here: the pool machinery would add ~30 modules to every import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for rows in pool.map(_trial_rows, [spec] * spec.trials, range(spec.trials)):
             yield from rows
@@ -304,10 +306,15 @@ def bench_scaling(
 ) -> dict:
     """Per-query wall time against n, with a fitted log-log slope per policy.
 
-    Runs are truncated to `steps` queries; per-query cost does not depend on
-    the step index, so short runs measure the same thing the full ones
-    would. When `grid_compare` is set, the largest n is rerun on a square
-    grid under both sampled policies to compare their per-query cost.
+    Runs are truncated to their first `steps` queries, so this times the
+    opening of a search, not its average step: early on no vertex holds
+    most of the weight, so the sampled policies redraw many members per
+    step, and a local-search walk still travels from vertex 0 toward the
+    median. Those local-search steps also pay for the distance rows their
+    walk reads first, by BFS. Over a full run, where a heavy vertex stands
+    on most steps, the mean step is several times cheaper. When
+    `grid_compare` is set, the largest n is rerun on a square grid under
+    both sampled policies to compare their per-query cost.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:

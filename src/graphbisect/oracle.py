@@ -23,14 +23,16 @@ def truthful_candidates(g: Graph, target: int, q: int) -> np.ndarray:
     if q == target:
         return np.array([q], dtype=np.int32)
     nbrs = g.neighbors[q]
-    return nbrs[g.dist[target, nbrs] == g.dist[target, q] - 1]
+    to_target = g.row(target)
+    return nbrs[to_target[nbrs] == to_target[q] - 1]
 
 
 def wrong_replies(g: Graph, target: int, q: int) -> np.ndarray:
     """All dishonest replies at q: q and its neighbors minus every truthful
     candidate, ascending."""
     nbrs = g.neighbors[q]
-    wrong = nbrs[g.dist[target, nbrs] != g.dist[target, q] - 1]
+    to_target = g.row(target)
+    wrong = nbrs[to_target[nbrs] != to_target[q] - 1]
     if q == target:
         return wrong
     return np.insert(wrong, np.searchsorted(wrong, q), q)

@@ -19,7 +19,7 @@ from .graph import Graph, branch_masks
 
 def phi(omega: np.ndarray, g: Graph, v: int) -> float:
     """Weighted sum of distances from v."""
-    return float(g.dist[v] @ omega)
+    return float(g.row(v) @ omega)
 
 
 def phi_all(omega: np.ndarray, g: Graph) -> np.ndarray:
@@ -43,7 +43,7 @@ def branch_weights(
     """
     if replies is None:
         replies = g.neighbors[v]
-    return branch_masks(g.dist, v, replies) @ x
+    return branch_masks(g, v, replies) @ x
 
 
 def worst_branch_weight(x: np.ndarray, g: Graph, v: int) -> float:

@@ -10,7 +10,7 @@ sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,11 @@ def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Binary search per draw, equivalent to merging sorted uniforms against
     one cumulative scan; the clip guards against u landing exactly on the
-    total weight.
+    total weight. u is scratch: it is scaled by the total in place.
     """
     cumw = np.cumsum(omega)
-    idx = np.searchsorted(cumw, u * cumw[-1], side="right")
-    return np.minimum(idx, len(omega) - 1).astype(np.int32)
+    idx = np.searchsorted(cumw, np.multiply(u, cumw[-1], out=u), side="right")
+    return np.minimum(idx, len(omega) - 1, out=idx).astype(np.int32)
 
 
 def _distance_sums(graph: Graph, x: np.ndarray) -> np.ndarray:
@@ -60,6 +60,11 @@ class Sample:
     counts: np.ndarray  # int64 multiplicity per vertex
     distance_sums: np.ndarray | None  # int64 sum of dist to members, or None
     graph: Graph | None = None  # owner of the distances behind the sums
+    # per-member uniforms that resample reuses on every step
+    _uniforms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._uniforms = np.empty(len(self.members), dtype=np.float64)
 
     @classmethod
     def draw(
@@ -93,26 +98,36 @@ class Sample:
         vertex stays with probability 1/gamma, otherwise it is replaced by a
         fresh draw from the already-updated weights omega. Coins and redraws
         are consumed in positional order: one coin per inconsistent member,
-        then one uniform per failed coin.
+        then one uniform per failed coin. Both go to one per-sample buffer;
+        beyond it a step allocates one byte per member, the flags of the
+        members to redraw, and up to twenty per redrawn member, its
+        position and new id.
 
         Tracked distance sums move by dist @ delta, the change in counts
         (see _distance_sums).
         """
-        inv_gamma = 1.0 / gamma
         n = len(omega)
         n_inc = int(self.counts[~consistent].sum())
         if n_inc == 0:
             return 0
-        coins = rng.random(n_inc)
-        fail = coins >= inv_gamma
-        k = int(fail.sum())
-        draws = rng.random(k)
+        coins = rng.random(out=self._uniforms[:n_inc])
+        fail = coins >= 1.0 / gamma
+        k = int(np.count_nonzero(fail))
+        draws = rng.random(out=self._uniforms[:k])
         if k == 0:
             return 0
-        pos = np.flatnonzero(~consistent[self.members])[fail]
+        # flag the inconsistent members, then keep the flags of those whose
+        # coin failed: the positions to redraw, in positional order. The
+        # fancy index casts the int32 ids in chunks; np.take would first
+        # copy them all to intp, eight bytes a member.
+        redraw = np.logical_not(consistent)[self.members]
+        redraw[redraw] = fail
+        pos = np.flatnonzero(redraw)
+        del fail, redraw  # freed before the draw's temporaries
         new = draw_indices_from(omega, draws)
         old = self.members[pos]
         self.members[pos] = new
+        del pos  # freed before bincount copies new and old to intp
         delta = np.bincount(new, minlength=n) - np.bincount(old, minlength=n)
         self.counts += delta
         if self.distance_sums is not None:

@@ -160,16 +160,15 @@ def local_search(
     at start, potential at the returned vertex). Every returned vertex has
     no neighbor better by margin or more.
     """
-    dist = g.dist
     counts = sample.counts
     v = start
-    phi_v = int(dist[v] @ counts)
+    phi_v = int(g.row(v) @ counts)
     phi_first = phi_v
     iters = 0
     while True:
         iters += 1
         nbrs = g.neighbors[v]
-        vals = dist[nbrs] @ counts
+        vals = g.rows(nbrs) @ counts
         i = int(np.argmin(vals))
         phi_u = int(vals[i])
         if phi_u > phi_v - margin:
@@ -232,7 +231,7 @@ def run_search(
 
             reply = oracle.reply(q, weights=w)
             try:
-                mask = consistent_mask(g.dist, q, reply)
+                mask = consistent_mask(g, q, reply)
             except ValueError as exc:
                 raise SearchProtocolError(f"step {step}: {exc}") from exc
 

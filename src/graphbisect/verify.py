@@ -334,7 +334,7 @@ def marginal_tv_suite(members: int = 100_000, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     w = WeightState.uniform(8)
     sample = Sample.draw(w.omega, members, rng)
-    mask = consistent_mask(g.dist, 0, 1)
+    mask = consistent_mask(g, 0, 1)
     gamma = 1.0 / 0.6
     w.downweight(mask, gamma)
     w.renormalize()

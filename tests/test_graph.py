@@ -143,17 +143,36 @@ def test_distances_widen_after_the_first_block():
     assert int(d.max()) == 200
     for s in range(n):
         assert d[s].tolist() == bfs_dist(n, edges, s)
+    # a list of sources widens the same way: hub 0 and its leaves fill the
+    # first block in int8, and path end 1224 (eccentricity 200) the second
+    sources = list(range(1, 1024)) + [0, 1224]
+    part = distance_matrix(n, edges, sources)
+    assert part.dtype == np.int16
+    assert (part == d[sources]).all()
 
 
-def test_import_does_not_load_scipy():
-    code = (
-        "import sys, graphbisect, graphbisect.cli, graphbisect.harness; "
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
-    )
+def _run_in_fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(graphbisect.graph.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_import_does_not_load_scipy():
+    _run_in_fresh_interpreter(
+        "import sys, graphbisect, graphbisect.cli, graphbisect.harness; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+
+
+def test_import_does_not_load_the_process_pool():
+    # only a pooled run_experiment needs it
+    _run_in_fresh_interpreter(
+        "import sys, graphbisect; "
+        "pool = sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+        "or m.split('.')[0] == 'multiprocessing'); "
+        "assert not pool, pool"
+    )
 
 
 def test_distance_matrix_properties(path5):
@@ -172,10 +191,13 @@ def test_single_vertex():
 
 
 def test_disconnected_rejected():
+    # build_graph runs one BFS, from vertex 0
     with pytest.raises(DisconnectedGraphError) as exc:
         build_graph(4, [(0, 1), (2, 3)])
-    u, v = exc.value.unreachable_pair
-    assert u != v and {u, v} <= {0, 1, 2, 3}
+    assert exc.value.unreachable_pair == (0, 2)
+    with pytest.raises(DisconnectedGraphError) as exc:
+        build_graph(600, [(i, i + 1) for i in range(598)])
+    assert exc.value.unreachable_pair == (0, 599)
     # vertex 599, the last, is unreachable from 0
     with pytest.raises(DisconnectedGraphError) as exc:
         distance_matrix(600, [(i, i + 1) for i in range(598)])
@@ -256,28 +278,32 @@ def test_consistency_partition(path5):
 
 def test_consistency_rejects_non_neighbor(path5):
     with pytest.raises(ValueError):
-        consistent_mask(path5.dist, 0, 2)
+        consistent_mask(path5, 0, 2)
     # -1 would index vertex 4, a neighbor of 3; 5 is past the last row
     for bad in (-1, 5):
         with pytest.raises(ValueError, match="not a vertex id"):
-            consistent_mask(path5.dist, 3, bad)
+            consistent_mask(path5, 3, bad)
 
 
 def test_self_reply_isolates_query(path5):
-    mask = consistent_mask(path5.dist, 2, 2)
+    mask = consistent_mask(path5, 2, 2)
     assert mask.sum() == 1 and mask[2]
 
 
 def test_consistency_at_the_int8_edge():
     # the path of 127 vertices has D = 126, the deepest int8 matrix: at
-    # either end 1 + dist reaches 127, the int8 maximum
+    # either end 1 + dist reaches 127, the int8 maximum. Rows computed on
+    # their own, before the matrix exists, give the same masks.
     n = 127
     edges = [(i, i + 1) for i in range(n - 1)]
-    g = build_graph(n, edges)
+    g, lazy = build_graph(n, edges), build_graph(n, edges)
     assert g.dist.dtype == np.int8 and g.diameter == 126
+    assert lazy.row(0).dtype == lazy.row(126).dtype == np.int8
     for q, reply in ((0, 1), (126, 125)):
-        mask = consistent_mask(g.dist, q, reply)
-        assert np.flatnonzero(mask).tolist() == brute_consistent(n, edges, q, reply)
+        expect = brute_consistent(n, edges, q, reply)
+        for h in (g, lazy):
+            assert np.flatnonzero(consistent_mask(h, q, reply)).tolist() == expect
+    assert "dist" not in vars(lazy)
 
 
 @pytest.mark.parametrize("name", ["path5", "grid9", "cycle4"])
@@ -285,10 +311,10 @@ def test_branch_masks_rows_match_consistent_mask(name, request):
     g = generate("cycle", 4) if name == "cycle4" else request.getfixturevalue(name)
     for q in range(g.n):
         replies = np.append(g.neighbors[q], q)
-        masks = branch_masks(g.dist, q, replies)
+        masks = branch_masks(g, q, replies)
         assert masks.shape == (len(replies), g.n) and masks.dtype == bool
         for row, r in zip(masks, replies):
-            assert (row == consistent_mask(g.dist, q, int(r))).all()
+            assert (row == consistent_mask(g, q, int(r))).all()
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -309,8 +335,8 @@ def test_dist_float_products_match_int_matrix_bitwise(kind, params, rng):
 
 def test_dist_float_is_cached_and_lazy():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    # build_graph must not pay for the float copy
-    assert "dist_float" not in vars(g)
+    # build_graph must not pay for either matrix
+    assert "dist" not in vars(g) and "dist_float" not in vars(g)
     assert g.dist_float is g.dist_float
     assert g.dist_float.dtype == np.float64
     assert (g.dist_float == g.dist).all()
@@ -384,3 +410,64 @@ def test_edge_list_rejects_garbage(tmp_path):
     disc.write_text("4 2\n0 1\n2 3\n")
     with pytest.raises(DisconnectedGraphError):
         load_edge_list(disc)
+
+
+# ---------------------------------------------------------------------------
+# Distance rows on demand.
+
+
+def _check_rows_against_matrix(n, edges, rng):
+    """Rows read one at a time and in overlapping batches, before the dense
+    matrix exists, equal its rows; building it then empties the cache."""
+    g = build_graph(n, edges)
+    d = distance_matrix(n, edges)
+    order = rng.permutation(n)
+    for v in order[: min(32, max(1, n // 8))]:
+        assert np.array_equal(g.row(int(v)), d[v])
+    # a batch that mixes cached, missing and repeated ids
+    batch = np.concatenate([order[: n // 4], order[: n // 16], order[n // 2:]])
+    assert np.array_equal(g.rows(batch), d[batch])
+    assert np.array_equal(g.rows(np.arange(n)), d)
+    assert g.rows([]).shape == (0, n)
+    assert "dist" not in vars(g) and len(g._rows) == n
+    assert np.array_equal(g.dist, d) and g.dist.dtype == d.dtype
+    assert g._rows == {}
+    assert np.array_equal(g.rows(batch), d[batch]) and np.array_equal(g.row(1 % n), d[1 % n])
+
+
+def test_rows_match_the_matrix_on_the_atlas(rng):
+    for n, edges in connected_atlas():
+        _check_rows_against_matrix(n, edges, rng)
+
+
+@pytest.mark.parametrize("kind,n,params", [
+    ("grid", 4096, {"rows": 64, "cols": 64}),
+    ("erdos-renyi-connected", 1024, None),
+])
+def test_rows_match_the_matrix_on_large_graphs(kind, n, params, rng):
+    g = generate(kind, n, params, seed=2)
+    _check_rows_against_matrix(n, list(g.edges), rng)
+
+
+def test_rows_across_the_int8_int16_boundary(rng):
+    # on the path of 180 vertices, row 90 is computed with the 63 uncached
+    # rows nearest it, 58..121, which reach at most 121 hops and fit int8;
+    # row 179 reaches 179 and needs int16. A batch holding both comes back
+    # in the wider type, and the matrix is int16 throughout.
+    n = 180
+    edges = [(i, i + 1) for i in range(n - 1)]
+    g = build_graph(n, edges)
+    assert g.row(90).dtype == np.int8
+    assert sorted(g._rows) == [0] + list(range(58, 122))
+    assert g.row(179).dtype == np.int16
+    assert g.rows([90, 179]).dtype == np.int16
+    assert g.row(90).tolist() == bfs_dist(n, edges, 90)
+    _check_rows_against_matrix(n, edges, rng)
+
+
+def test_a_corrupted_cached_row_fails_the_matrix_build():
+    g = generate("grid", 64, {"rows": 8, "cols": 8})
+    g.row(9)[10] += 1
+    with pytest.raises(RuntimeError, match="row 9 "):
+        g.dist
+    assert "dist" not in vars(g)

@@ -47,11 +47,11 @@ def test_branch_weights_match_branch_masks_bytewise(graph, request, rng):
     counts = rng.integers(0, 50, g.n).astype(np.int64)
     for q in range(g.n):
         nbrs = g.neighbors[q]
-        assert branch_weights(w, g, q).tobytes() == (branch_masks(g.dist, q, nbrs) @ w).tobytes()
-        assert branch_weights(counts, g, q).tolist() == (branch_masks(g.dist, q, nbrs) @ counts).tolist()
+        assert branch_weights(w, g, q).tobytes() == (branch_masks(g, q, nbrs) @ w).tobytes()
+        assert branch_weights(counts, g, q).tolist() == (branch_masks(g, q, nbrs) @ counts).tolist()
         for target in range(g.n):
             for ids in (truthful_candidates(g, target, q), wrong_replies(g, target, q)):
-                ref = branch_masks(g.dist, q, ids) @ w
+                ref = branch_masks(g, q, ids) @ w
                 assert branch_weights(w, g, q, ids).tobytes() == ref.tobytes()
 
 

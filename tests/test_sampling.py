@@ -53,6 +53,29 @@ def test_draw_sums_without_an_int64_matrix():
     assert s.verify_sums()
 
 
+
+def test_resample_allocates_little_per_step():
+    # coins and redraw uniforms go to the sample's own buffer; what one step
+    # still allocates (the redraw flags, positions, new and old ids) stays
+    # under five bytes a member, well below one float64 per member (the
+    # coins alone took four bytes a member here, the whole step twelve)
+    n, size = 1024, 100_000
+    omega = np.full(n, 1.0 / n)
+    rng = np.random.default_rng(3)
+    s = Sample.draw(omega, size, rng)
+    consistent = np.arange(n) % 2 == 0
+    n_inc = int(s.counts[~consistent].sum())
+    assert abs(n_inc - size / 2) < size / 50
+    tracemalloc.start()
+    try:
+        k = s.resample(consistent, omega, 1.0 / 0.6, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k > 0.3 * n_inc
+    assert peak < 5 * size
+    assert (s.counts == np.bincount(s.members, minlength=n)).all()
+
 def test_distance_sum_matches_members(path5):
     s = Sample.draw(np.full(5, 0.2), 300, np.random.default_rng(3), graph=path5)
     for v in range(5):
@@ -81,7 +104,7 @@ def _run_steps(g, steps, seed, size=2000):
     for t in range(steps):
         q = int(rng.integers(0, g.n))
         reply = int(rng.choice([q] + [int(u) for u in g.neighbors[q]]))
-        mask = consistent_mask(g.dist, q, reply)
+        mask = consistent_mask(g, q, reply)
         ws.downweight(mask, gamma)
         ws.renormalize()
         before = s.counts.copy()

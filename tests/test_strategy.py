@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from graphbisect.sampling import Sample
 from graphbisect.strategy import (
     POLICIES,
     SearchProtocolError,
+    SearchTranscript,
     StrategyConfig,
     derive_config,
     local_search,
@@ -134,6 +136,28 @@ def test_local_search_iteration_bound(rng):
         for u in g.neighbors[v]:
             assert ref[v] <= ref[u] + margin
 
+
+
+def test_local_search_never_builds_the_matrix():
+    # a full local search reads distance rows on demand, a fraction of the
+    # n * n matrix, and decides exactly as a run whose graph built it first
+    runs = []
+    for dense_first in (False, True):
+        g = generate("grid", 1024, {"rows": 32, "cols": 32})
+        if dense_first:
+            g.dist
+        cfg = derive_config(0.45, g.n, "local-search", seed=3)
+        oracle = NoisyOracle(g, 317, cfg.noise_p, np.random.default_rng(4))
+        runs.append(run_search(g, oracle, cfg))
+        if not dense_first:
+            assert "dist" not in vars(g) and "dist_float" not in vars(g)
+            assert 0 < len(g._rows) < g.n // 2
+    lazy, dense = runs
+    assert lazy.success
+    for f in fields(SearchTranscript):
+        if f.name not in ("config", "step_seconds"):
+            a, b = getattr(lazy, f.name), getattr(dense, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 def _run(graph, eps, policy, seed, p=None, debug=False,
          scale_queries=1.0, scale_sample=1.0, dump=None):
