@@ -40,12 +40,16 @@ class Graph:
     BFS run together with rows near them (see _fill), and cached, so a
     search holds only the rows around those it has read.
 
-    dist, dist_float and diameter are built on first access and cached.
-    dist holds hop counts for every pair in the narrowest signed type whose
+    dist, dist32 and diameter are built on first access and cached. dist
+    holds hop counts for every pair in the narrowest signed type whose
     maximum exceeds the diameter (see _dist_dtype): one byte per pair up to
     D = 126. Building it checks every cached row against it, then drops
-    the cache; from then on row and rows return its rows. dist_float is the
-    same matrix as float64 for full matvecs against weights or counts.
+    the cache; from then on row and rows return its rows. dist32 is the
+    same matrix as float32, four bytes per pair and exact for any hop
+    count below 2**24, for full single-precision matvecs; matvec(x) is the
+    float64 product dist @ x without a float64 copy of the matrix. The
+    diameter comes from dist when it is built and otherwise from BFS runs
+    over blocks of sources, so reading it never builds the n * n matrix.
     """
 
     n: int
@@ -67,14 +71,43 @@ class Graph:
         return d
 
     @functools.cached_property
-    def dist_float(self) -> np.ndarray:
-        # numpy casts an integer dist @ float64 to this same matrix before
-        # its dgemv, so products against it are bitwise those against dist
-        return self.dist.astype(np.float64)
+    def dist32(self) -> np.ndarray:
+        return self.dist.astype(np.float32)
 
     @functools.cached_property
     def diameter(self) -> int:
-        return int(self.dist.max())
+        if "dist" in self.__dict__:
+            return int(self.dist.max())
+        n, edges = self.n, self._edge_array
+        return max(
+            int(distance_matrix(n, edges, range(lo, min(lo + _BFS_BLOCK, n))).max())
+            for lo in range(0, n, _BFS_BLOCK)
+        )
+
+    @functools.cached_property
+    def _matvec_buffer(self) -> np.ndarray:
+        return np.empty((min(_MATVEC_ROWS, self.n), self.n), dtype=np.float64)
+
+    def matvec(self, x) -> np.ndarray:
+        """dist @ x in float64, a block of _MATVEC_ROWS rows at a time.
+
+        Each block of dist is cast into one reusable float64 buffer and
+        multiplied by one BLAS gemv, so every entry is the dot product of
+        a whole row with x, exact for integer x whose sums stay below
+        2**53, and no float64 copy of the matrix is made. For n a multiple
+        of 64 it is bitwise dist @ x under OpenBLAS on one or two threads;
+        at other n an entry can differ in the last bit, as dist @ x itself
+        does between thread counts.
+        """
+        d = self.dist
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(self.n, dtype=np.float64)
+        buf = self._matvec_buffer
+        for lo in range(0, self.n, len(buf)):
+            block = buf[:min(len(buf), self.n - lo)]
+            np.copyto(block, d[lo:lo + len(block)])
+            np.matmul(block, x, out=out[lo:lo + len(block)])
+        return out
 
     @functools.cached_property
     def _edge_array(self) -> np.ndarray:
@@ -161,6 +194,7 @@ def _dist_dtype(diameter: int) -> np.dtype:
 
 
 _BFS_BLOCK = 1024  # sources per bit-parallel BFS, 64 to a uint64 word
+_MATVEC_ROWS = 64  # rows of dist per float64 block in Graph.matvec
 _UNPACK_ROWS = 256  # least vertices per chunk when the bit planes become distances
 _UNPACK_WORDS = 1024  # plane words per chunk when a block has few sources
 

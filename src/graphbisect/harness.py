@@ -314,7 +314,8 @@ def bench_scaling(
     walk reads first, by BFS. Over a full run, where a heavy vertex stands
     on most steps, the mean step is several times cheaper. When
     `grid_compare` is set, the largest n is rerun on a square grid under
-    both sampled policies to compare their per-query cost.
+    both sampled policies, alternating them trial by trial, to compare
+    their per-query cost.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if len(sizes) < 3:
@@ -342,15 +343,16 @@ def bench_scaling(
         }
     if grid_compare:
         n = sizes[-1]
-        cmp = {}
-        for pidx, policy in enumerate(("local-search", "global-sampled")):
-            per_run = []
-            for trial in range(trials):
+        grid_policies = ("local-search", "global-sampled")
+        per_run = {policy: [] for policy in grid_policies}
+        # trial by trial, so a stretch of machine load falls on both policies
+        for trial in range(trials):
+            for pidx, policy in enumerate(grid_policies):
                 g = generate("grid", n, seed=_seed_int(seed, n, trial, 0))
-                per_run.append(
+                per_run[policy].append(
                     _bench_once(g, n, epsilon, policy, steps, (seed, n, trial, 20 + pidx))
                 )
-            cmp[policy] = float(np.concatenate(per_run).mean())
+        cmp = {policy: float(np.concatenate(runs).mean()) for policy, runs in per_run.items()}
         cmp["local_faster"] = bool(cmp["local-search"] < cmp["global-sampled"])
         report["grid_comparison"] = {"n": n, **cmp}
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, branch_masks
 from .potential import branch_weights
 
 TIE_BREAKS = ("uniform-random", "lowest-id", "adversarial-weight")
@@ -35,7 +35,8 @@ def wrong_replies(g: Graph, target: int, q: int) -> np.ndarray:
     wrong = nbrs[to_target[nbrs] != to_target[q] - 1]
     if q == target:
         return wrong
-    return np.insert(wrong, np.searchsorted(wrong, q), q)
+    i = np.searchsorted(wrong, q)
+    return np.concatenate((wrong[:i], np.full(1, q, dtype=wrong.dtype), wrong[i:]))
 
 
 def _heaviest(ids: np.ndarray, weights: np.ndarray) -> int:
@@ -164,9 +165,15 @@ class AdversarialOracle:
             if omega is None:
                 raise ValueError("greedy-heavy needs the weight vector")
             wrong = wrong_replies(self.g, self.target, q)
-            truth_w = branch_weights(omega, self.g, q, cands)
-            if self.lies_spent < self.budget and len(wrong):
-                wrong_w = branch_weights(omega, self.g, q, wrong)
+            can_lie = self.lies_spent < self.budget and len(wrong) > 0
+            # one mask build serves both reply sets; each set's weights come
+            # from a matvec over its own rows, the shape branch_weights uses,
+            # so they match it bit for bit and exact ties fall the same way
+            k = len(cands)
+            masks = branch_masks(self.g, q, np.concatenate((cands, wrong)) if can_lie else cands)
+            truth_w = masks[:k] @ omega
+            if can_lie:
+                wrong_w = masks[k:] @ omega
                 if wrong_w.max() > truth_w.max():
                     self.lies_spent += 1
                     self.last_was_error = True

@@ -32,15 +32,20 @@ def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _distance_sums(graph: Graph, x: np.ndarray) -> np.ndarray:
     """dist @ x for an integer vector x, exactly, as int64.
 
-    A sparse x sums the few rows it touches (dist is symmetric); a dense
-    one takes one BLAS matvec against the cached float64 matrix, exact since
-    the sums stay far below 2**53. Neither casts the whole integer matrix to
-    int64, as dist @ x would.
+    A sparse x sums the few rows it touches (dist is symmetric). A dense
+    one takes one BLAS matvec: against the cached float32 matrix while
+    D * |x|_1 < 2**24, which bounds every product and partial sum, so each
+    is an integer float32 holds exactly; otherwise through Graph.matvec in
+    float64, exact since the sums stay far below 2**53. None casts the
+    whole integer matrix to int64, as dist @ x would.
     """
+    dist = graph.dist  # built first, so the diameter below is its max
     nz = np.flatnonzero(x)
     if len(nz) * 16 < len(x):
-        return x[nz] @ graph.dist[nz, :]
-    return (graph.dist_float @ x.astype(np.float64)).astype(np.int64)
+        return x[nz] @ dist[nz, :]
+    if graph.diameter * int(np.abs(x).sum()) < 2**24:
+        return (graph.dist32 @ x.astype(np.float32)).astype(np.int64)
+    return graph.matvec(x).astype(np.int64)
 
 
 def draw_indices(omega: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -51,8 +51,8 @@ class WeightState:
         if not consistent.any():
             raise ValueError("a reply can never wipe out every vertex")
         out = ~consistent
-        self.omega[out] *= 1.0 / gamma
-        self.lies[out] += 1
+        np.multiply(self.omega, 1.0 / gamma, out=self.omega, where=out)
+        self.lies += out
 
     def renormalize(self) -> float:
         """Scale weights to sum to one, then flush entries below finfo.tiny

@@ -317,12 +317,10 @@ def test_branch_masks_rows_match_consistent_mask(name, request):
             assert (row == consistent_mask(g, q, int(r))).all()
 
 
-@pytest.mark.parametrize("kind,params", [
-    ("erdos-renyi-connected", None),
-    ("grid", {"rows": 16, "cols": 16}),
-])
-def test_dist_float_products_match_int_matrix_bitwise(kind, params, rng):
-    g = generate(kind, 256, params, seed=11)
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("kind", ["erdos-renyi-connected", "grid"])
+def test_matvec_matches_int_matrix_bitwise(kind, n, rng):
+    g = generate(kind, n, seed=11)
     tiny = np.finfo(np.float64).tiny
     for trial in range(20):
         w = rng.random(g.n) * 10.0 ** rng.uniform(-6, 2, g.n)
@@ -330,16 +328,30 @@ def test_dist_float_products_match_int_matrix_bitwise(kind, params, rng):
             # about half the entries deep in the subnormal range
             sub = rng.random(g.n) < 0.5
             w[sub] = tiny * rng.random(int(sub.sum())) * 2.0 ** -30
-        assert (g.dist_float @ w).tobytes() == (g.dist @ w).tobytes()
+        assert g.matvec(w).tobytes() == (g.dist @ w).tobytes()
+    # integer vectors come out exact
+    x = rng.integers(-1000, 1000, g.n)
+    assert (g.matvec(x) == g.dist.astype(np.int64) @ x).all()
+    assert not any(a.dtype == np.float64 and a.size >= g.n * g.n for a in vars(g).values()
+                   if isinstance(a, np.ndarray))
 
 
-def test_dist_float_is_cached_and_lazy():
+def test_dist32_is_cached_and_lazy():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     # build_graph must not pay for either matrix
-    assert "dist" not in vars(g) and "dist_float" not in vars(g)
-    assert g.dist_float is g.dist_float
-    assert g.dist_float.dtype == np.float64
-    assert (g.dist_float == g.dist).all()
+    assert "dist" not in vars(g) and "dist32" not in vars(g)
+    assert g.dist32 is g.dist32
+    assert g.dist32.dtype == np.float32
+    assert (g.dist32 == g.dist).all()
+
+
+def test_diameter_without_the_matrix():
+    # a block of BFS sources at a time, so memory stays at block * n
+    for kind, n, d in (("grid", 2048, 94), ("path", 600, 599), ("complete", 7, 1)):
+        g = generate(kind, n)
+        assert g.diameter == d
+        assert "dist" not in vars(g)
+        assert generate(kind, n).dist.max() == d
 
 
 @given(st.integers(2, 40))

@@ -120,6 +120,28 @@ class TestRunExperiment:
         rows = list(run_experiment(spec))
         assert all(r.check_violations == 0 for r in rows)
 
+    def test_local_search_rows_leave_the_matrix_unbuilt(self, monkeypatch):
+        # the row's diameter comes from blocks of BFS rows, not the n * n matrix
+        import graphbisect.harness as harness
+
+        graphs = []
+        build = harness._trial_instance
+
+        def keep(spec, trial):
+            g, target = build(spec, trial)
+            graphs.append(g)
+            return g, target
+
+        monkeypatch.setattr(harness, "_trial_instance", keep)
+        spec = ExperimentSpec(
+            graph="grid", n=1024, params={"rows": 32, "cols": 32}, epsilon=0.45,
+            policies=("local-search",), trials=1, seed=0, timing=False,
+            scale_tau=0.05, scale_s=0.1,
+        )
+        (row,) = run_experiment(spec)
+        assert row.status == "ok" and row.diameter == 62
+        assert "dist" not in vars(graphs[0])
+
     def test_timing_columns(self):
         on = list(run_experiment(_spec(trials=1, timing=True)))[0]
         off = list(run_experiment(_spec(trials=1, timing=False)))[0]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbisect.graph import branch_masks, build_graph, generate
 from graphbisect.oracle import truthful_candidates, wrong_replies
 from graphbisect.potential import (
+    _certified_argmin,
     branch_weights,
     exact_median,
     heavy_vertex,
@@ -133,3 +136,60 @@ def test_median_report(grid9):
     assert rep["bisection_holds"]
     assert rep["phi"].shape == (9,)
     assert rep["median_lambda"] <= rep["half_weight"] + 1e-12
+
+
+_MEDIAN_KINDS = ("path", "cycle", "complete", "grid", "random-tree", "erdos-renyi-connected")
+_WEIGHT_STYLES = ("uniform", "one-hot", "spread", "subnormal", "past-float32")
+
+
+def _weights(style, n, rng):
+    if style == "uniform":
+        return np.full(n, 1.0 / n)
+    if style == "one-hot":
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+        return w
+    w = rng.random(n) * 10.0 ** rng.uniform(-6, 2, n)
+    if style == "subnormal":
+        # entries below float32's normal range, some below float64's too
+        sub = rng.random(n) < 0.5
+        w[sub] = 10.0 ** rng.uniform(-46, -38, int(sub.sum()))
+        w[sub & (rng.random(n) < 0.5)] *= 1e-280
+    elif style == "past-float32":
+        w[rng.integers(n)] = 1e39
+    return w
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(_MEDIAN_KINDS), st.integers(3, 200), st.sampled_from(_WEIGHT_STYLES),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_median_is_the_float64_argmin(kind, n, style, seed):
+    rng = np.random.default_rng(seed)
+    g = generate(kind, n, seed=seed % 1000)
+    w = _weights(style, n, rng)
+    assert exact_median(w, g) == int(np.argmin(g.dist @ w))
+
+
+def test_certificate_undecided_on_a_tie():
+    g = generate("cycle", 12)
+    w = np.full(12, 1.0 / 12)
+    assert _certified_argmin(g.dist32 @ w.astype(np.float32), g) is None
+    assert exact_median(w, g) == int(np.argmin(g.dist @ w))
+
+
+def test_certificate_proves_a_one_hot_median():
+    g = generate("cycle", 12)
+    for v in (0, 5, 11):
+        w = np.zeros(12)
+        w[v] = 1.0
+        assert _certified_argmin(g.dist32 @ w.astype(np.float32), g) == v
+
+
+def test_certificate_undecided_on_a_non_finite_screen():
+    g = generate("path", 6)
+    phi32 = np.array([np.inf, 1.0, 2.0, 3.0, 4.0, 5.0], dtype=np.float32)
+    assert _certified_argmin(phi32, g) is None
+    phi32[0] = np.nan
+    assert _certified_argmin(phi32, g) is None

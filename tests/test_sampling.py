@@ -5,7 +5,7 @@ import pytest
 
 from graphbisect.graph import build_graph, consistent_mask, generate
 from graphbisect.potential import worst_branch_weight
-from graphbisect.sampling import Sample, draw_indices
+from graphbisect.sampling import Sample, _distance_sums, draw_indices
 from graphbisect.weights import WeightState
 
 from _reference import brute_consistent
@@ -40,9 +40,9 @@ def test_sample_draw_bookkeeping(grid9):
 
 def test_draw_sums_without_an_int64_matrix():
     # dist @ counts would cast the whole matrix to int64, eight bytes a
-    # pair; the draw reads the cached float64 copy instead
+    # pair; the draw reads the cached float32 copy instead
     g = generate("grid", 1024, {"rows": 32, "cols": 32})
-    g.dist_float
+    g.dist32
     tracemalloc.start()
     try:
         s = Sample.draw(np.full(g.n, 1.0 / g.n), 4000, np.random.default_rng(6), graph=g)
@@ -52,6 +52,20 @@ def test_draw_sums_without_an_int64_matrix():
     assert peak < g.dist.nbytes
     assert s.verify_sums()
 
+
+
+def test_distance_sums_on_both_sides_of_the_float32_bound():
+    # D * |x|_1 < 2**24 bounds every partial sum, so float32 is exact below
+    # it; at 2**24 + 24 (path of 5, D = 4) a float32 sum is odd past 2**24
+    # and rounds, so the sums must come from the float64 blocks
+    below = np.array([2**22 - 8, 2, 1, 1, 1])
+    above = np.array([2**22 + 1, -2, 1, 1, 1])
+    for x, f32 in ((below, True), (above, False), (-above, False)):
+        g = generate("path", 5)
+        ref = g.dist.astype(np.int64) @ x
+        assert (_distance_sums(g, x) == ref).all()
+        assert ("dist32" in vars(g)) == f32
+        assert ((g.dist32 @ x.astype(np.float32)).astype(np.int64) == ref).all() == f32
 
 
 def test_resample_allocates_little_per_step():
@@ -128,10 +142,10 @@ def test_row_patched_sums_match_matvec_sums(grid9):
     _, _, redrawn, changed = _run_steps(path, 60, seed=5, size=16)
     assert any(k > 0 for k in redrawn)
     assert max(changed) * 16 < path.n
-    assert "dist_float" not in vars(path)
+    assert "dist32" not in vars(path)
     _, _, redrawn, changed = _run_steps(grid9, 60, seed=5)
     assert any(c * 16 >= grid9.n for c in changed)
-    assert "dist_float" in vars(grid9)
+    assert "dist32" in vars(grid9)
 
 
 def test_all_consistent_resample_is_silent(path5):

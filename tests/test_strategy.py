@@ -150,7 +150,7 @@ def test_local_search_never_builds_the_matrix():
         oracle = NoisyOracle(g, 317, cfg.noise_p, np.random.default_rng(4))
         runs.append(run_search(g, oracle, cfg))
         if not dense_first:
-            assert "dist" not in vars(g) and "dist_float" not in vars(g)
+            assert "dist" not in vars(g) and "dist32" not in vars(g)
             assert 0 < len(g._rows) < g.n // 2
     lazy, dense = runs
     assert lazy.success
@@ -281,9 +281,10 @@ def test_transcript_weight_columns():
     assert t.num_steps == t.config.num_queries
 
 
-def _er64_search(case):
+def _er64_search(case, g=None):
     """Full-tau ER-64 run: greedy-heavy adversary at eps 0.5, or noisy at 0.2."""
-    g = generate("erdos-renyi-connected", 64, seed=0)
+    if g is None:
+        g = generate("erdos-renyi-connected", 64, seed=0)
     if case == "greedy-heavy":
         cfg = derive_config(0.5, g.n, "exact-median", seed=3)
         budget = math.floor(cfg.error_rate * cfg.num_queries)
@@ -313,3 +314,16 @@ def test_flushing_underflowed_weights_changes_no_decision(case, monkeypatch):
     assert (flushed.replies == ref.replies).all()
     assert (flushed.resampled == ref.resampled).all()
     assert flushed.answer == ref.answer
+
+
+def test_greedy_heavy_run_holds_no_float64_matrix():
+    # the median screens with float32 and falls back to a temporary float64
+    # product; neither leaves an eight-byte-a-pair copy on the graph
+    g = generate("erdos-renyi-connected", 64, seed=0)
+    t = _er64_search("greedy-heavy", g)
+    assert t.success
+    assert "dist32" in vars(g)
+    assert not any(
+        isinstance(a, np.ndarray) and a.dtype == np.float64 and a.size >= g.n * g.n
+        for a in vars(g).values()
+    )
