@@ -6,8 +6,11 @@ seeds 1-3) and acceptance criterion 5's 600 adversarial rows twice: once
 with this checkout's package and once with the package of REV, unpacked by
 git archive into a temporary directory. Both runs build their searches from
 this checkout's perfbench/workloads.py. Each search is reduced to a hash of
-its queries and replies, and each criterion-5 row to a hash of its fields.
-Prints every search whose hash differs and exits 1 if one does.
+its queries, replies, members redrawn and walk potentials (so a change in
+which members are redrawn shows before it moves a query); each
+criterion-5 row is reduced to a hash of its search and one of its fields.
+Prints every hash that differs and a count per kind, and exits 1 if one
+differs.
 
     python3 scripts/decision_parity.py --against HEAD~1
 
@@ -29,9 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def _digest(*arrays) -> str:
+def _digest(t) -> str:
     h = hashlib.sha256()
-    for a in arrays:
+    for a in (t.queries, t.replies, t.resampled, t.search_start_sums, t.search_end_sums):
         h.update(a.astype("<i8").tobytes())
     return h.hexdigest()[:16]
 
@@ -53,7 +56,7 @@ def emit(tree: Path) -> None:
         for name, build in WORKLOADS.items():
             for s in build(seed):
                 t = graphbisect.run_search(s.graph, s.make_oracle(), s.cfg)
-                out(f"{name}/seed{seed}/{s.label}", _digest(t.queries, t.replies))
+                out(f"{name}/seed{seed}/{s.label}", _digest(t))
 
     # criterion 5, as tests/test_acceptance.py specifies it, run in-process so
     # that every transcript passes through the wrapper
@@ -62,7 +65,7 @@ def emit(tree: Path) -> None:
 
     def recorded(*args, **kwargs):
         t = search(*args, **kwargs)
-        transcripts.append(_digest(t.queries, t.replies))
+        transcripts.append(_digest(t))
         return t
 
     harness.run_search = recorded
@@ -75,9 +78,9 @@ def emit(tree: Path) -> None:
             )
             for i, row in enumerate(harness.run_experiment(spec)):
                 # an error row has no transcript
-                t = transcripts.pop(0) if row.status == "ok" else "-"
-                row_hash = hashlib.sha256(repr(row.as_list()).encode()).hexdigest()[:16]
-                out(f"criterion5/{kind}/{schedule}/{i}", f"{t}:{row_hash}")
+                label = f"criterion5/{kind}/{schedule}/{i}"
+                out(f"{label}/search", transcripts.pop(0) if row.status == "ok" else "-")
+                out(f"{label}/row", hashlib.sha256(repr(row.as_list()).encode()).hexdigest()[:16])
 
 
 def _run_tree(tree: Path, out) -> subprocess.Popen:
@@ -128,10 +131,15 @@ def main() -> int:
         print(f"differs: {label}  {commit} {theirs.get(label, '-')}  this checkout {ours[label]}")
     for label in missing:
         print(f"differs: {label}  {commit} {theirs[label]}  this checkout -")
-    bench = sum(1 for label in ours if not label.startswith("criterion5/"))
-    print(f"{len(ours)} searches against {commit} ({bench} benchmark searches on seeds "
-          f"{', '.join(map(str, SEEDS))}, {len(ours) - bench} criterion-5 rows): "
-          f"{len(differ) + len(missing)} differ")
+    kinds = {
+        f"benchmark searches on seeds {', '.join(map(str, SEEDS))}":
+            lambda label: not label.startswith("criterion5/"),
+        "criterion-5 searches": lambda label: label.endswith("/search"),
+        "criterion-5 rows": lambda label: label.endswith("/row"),
+    }
+    print(f"against {commit}: " + "; ".join(
+        f"{sum(map(is_kind, differ + missing))} of {sum(map(is_kind, ours))} {name} differ"
+        for name, is_kind in kinds.items()))
     return 1 if differ or missing else 0
 
 

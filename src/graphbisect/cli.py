@@ -182,7 +182,7 @@ def _cmd_verify_median(args) -> int:
             omega = np.asarray(json.load(fh), dtype=float)
         if len(omega) != g.n:
             raise SystemExit(f"expected {g.n} weights, got {len(omega)}")
-        # zeros are legal: the search loop flushes underflowed weights to 0
+        # zeros are legal: the search gives an underflowed weight exactly 0
         if not np.isfinite(omega).all() or (omega < 0).any():
             raise SystemExit("weights must be finite and nonnegative")
         if omega.sum() <= 0:

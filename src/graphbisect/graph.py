@@ -469,26 +469,6 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def _connected(n, edges) -> bool:
-    if n == 1:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
-
-
 def _er_edges(n, p, rng):
     # skip-sampling over the upper triangle: geometric jumps touch only
     # the edges that exist, so large sparse graphs stay cheap
@@ -576,9 +556,10 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability {p} outside [0, 1]")
         for _ in range(200):
-            edges = _er_edges(n, p, rng)
-            if _connected(n, edges):
-                return build_graph(n, edges)
+            try:
+                return build_graph(n, _er_edges(n, p, rng))
+            except DisconnectedGraphError:
+                pass
         raise RuntimeError(f"no connected G({n}, {p}) draw in 200 attempts")
     if kind == "random-regular":
         d = int(params.get("degree", 3))
@@ -591,9 +572,10 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
                 return build_graph(1, [])
             raise ValueError("degree 0 is disconnected for n > 1")
         for _ in range(200):
-            edges = _random_regular_edges(n, d, rng)
-            if _connected(n, edges):
-                return build_graph(n, edges)
+            try:
+                return build_graph(n, _random_regular_edges(n, d, rng))
+            except DisconnectedGraphError:
+                pass
         raise RuntimeError(f"no connected {d}-regular graph for n={n}")
     raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
 

@@ -188,8 +188,9 @@ def run_search(
 
     debug turns on the slow per-step checks (near-median flag for the
     query, exact recomputation of the sampled potential, branch bound on
-    local-search outputs). dump_path appends one JSON line of internal
-    state per step.
+    local-search outputs). dump_path writes one JSON line per step: the
+    query, the reply, the lie counts (the weights follow from them and
+    gamma) and the sample's counts.
     """
     if cfg.policy not in POLICIES:
         raise ValueError(f"unknown policy {cfg.policy!r}")
@@ -201,7 +202,7 @@ def run_search(
         t.answer, t.success = 0, oracle.target == 0
         return t
 
-    w = WeightState.uniform(n)
+    w = WeightState.uniform(n, cfg.gamma)
     rng = np.random.default_rng(cfg.seed)
     sampled = cfg.policy in ("global-sampled", "local-search")
     track_sums = cfg.policy == "global-sampled"
@@ -245,7 +246,7 @@ def run_search(
                     t.branch_bound_ok[step] = int(lam <= bound + 1e-9)
 
             t.weight_before[step] = w.total
-            w.downweight(mask, cfg.gamma)
+            w.downweight(mask)
             t.weight_after[step] = w.renormalize()
             if sampled:
                 t.resampled[step] = sample.resample(mask, w.omega, cfg.gamma, rng)
@@ -268,7 +269,6 @@ def run_search(
                     "step": step,
                     "query": int(q),
                     "reply": int(reply),
-                    "omega": [float(x) for x in w.omega],
                     "lies": [int(x) for x in w.lies],
                     "sample_counts": None if sample is None else [int(c) for c in sample.counts],
                 }) + "\n")

@@ -332,11 +332,11 @@ def marginal_tv_suite(members: int = 100_000, seed: int = 0) -> dict:
     updated weights in total variation."""
     g = _cube_graph()
     rng = np.random.default_rng(seed)
-    w = WeightState.uniform(8)
+    gamma = 1.0 / 0.6
+    w = WeightState.uniform(8, gamma)
     sample = Sample.draw(w.omega, members, rng)
     mask = consistent_mask(g, 0, 1)
-    gamma = 1.0 / 0.6
-    w.downweight(mask, gamma)
+    w.downweight(mask)
     w.renormalize()
     sample.resample(mask, w.omega, gamma, rng)
     emp = sample.counts / sample.size

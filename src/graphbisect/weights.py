@@ -1,66 +1,77 @@
 """Multiplicative weight state over the vertex set.
 
-Weights start uniform; every reply divides the weight of each inconsistent
-vertex by gamma and bumps its lie counter. The final answer is the vertex
-with the fewest lies, which never depends on renormalization.
-Renormalizing flushes weights that have underflowed below the smallest
-normal float64 to exactly 0: subnormal arithmetic is an order of magnitude
-slower, and such a weight is below one ulp of any sum that holds a normal
-entry, so no decision can see it.
+The lie counts are the only state. A vertex weighs gamma to the minus its
+lies beyond the fewest charged, read from power_table, so the leaders weigh
+exactly 1 and every weight is one table entry whatever the history. The
+final answer is the vertex with the fewest lies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-_TINY = np.finfo(np.float64).tiny
+
+def power_table(gamma: float) -> np.ndarray:
+    """gamma**-k for k = 0, 1, ..., K by the C library's pow; numpy's
+    vectorized power can round differently, by a kernel chosen per CPU.
+
+    Powers below finfo.tiny are exactly 0 and K is the first of them, so a
+    gap clipped to K weighs 0: subnormal arithmetic is an order of magnitude
+    slower, and such a weight is below one ulp of any sum that holds a
+    leader's 1, so no decision can see it.
+    """
+    tiny = np.finfo(np.float64).tiny
+    size = math.ceil(math.log(tiny) / -math.log(gamma)) + 2
+    p = np.array([gamma ** -k for k in range(size)])
+    p[p < tiny] = 0.0
+    return p
 
 
-@dataclass
 class WeightState:
-    # float64, nonnegative; renormalize flushes entries below finfo.tiny to 0
-    omega: np.ndarray
-    lies: np.ndarray  # int64 count of inconsistencies charged so far
+    """Lie counts and the weights omega derived from them by renormalize."""
+
+    def __init__(self, lies: np.ndarray, gamma: float):
+        if gamma <= 1.0:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
+        self.lies = lies  # int64 count of inconsistencies charged so far
+        self._powers = power_table(gamma)
+        self._lead = int(lies.min())  # fewest lies when omega was derived
+        self.omega = np.empty(len(lies))  # float64, _powers[lies - _lead]
+        self.renormalize()
 
     @classmethod
-    def uniform(cls, n: int) -> "WeightState":
+    def uniform(cls, n: int, gamma: float) -> "WeightState":
         if n <= 0:
             raise ValueError("need at least one vertex")
-        return cls(omega=np.full(n, 1.0 / n), lies=np.zeros(n, dtype=np.int64))
-
-    @property
-    def n(self) -> int:
-        return len(self.omega)
+        return cls(np.zeros(n, dtype=np.int64), gamma)
 
     @property
     def total(self) -> float:
         """Sum of the weights, recomputed on every read."""
         return float(self.omega.sum())
 
-    def downweight(self, consistent: np.ndarray, gamma: float) -> None:
-        """Divide every inconsistent weight by gamma and charge a lie.
-
-        The consistent mask must keep at least one vertex alive; gamma > 1
-        keeps the weights nonnegative, and `renormalize` flushes entries
-        below finfo.tiny to 0.
+    def downweight(self, consistent: np.ndarray) -> None:
+        """Charge a lie to every inconsistent vertex; `renormalize` derives
+        the weights. The consistent mask must keep at least one vertex alive.
         """
-        if gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {gamma}")
         if not consistent.any():
             raise ValueError("a reply can never wipe out every vertex")
-        out = ~consistent
-        np.multiply(self.omega, 1.0 / gamma, out=self.omega, where=out)
-        self.lies += out
+        self.lies += ~consistent
 
     def renormalize(self) -> float:
-        """Scale weights to sum to one, then flush entries below finfo.tiny
-        to 0; returns the pre-scaling total, exactly."""
-        t = self.total
-        self.omega /= t
-        self.omega[self.omega < _TINY] = 0.0
-        return t
+        """Derive omega from the lies, the leaders at exactly 1; returns the
+        total weight on the scale where the previous leaders weighed 1."""
+        gaps = self.lies - self._lead
+        np.take(self._powers, gaps, mode="clip", out=self.omega)
+        total = float(self.omega.sum())
+        lead = int(self.lies.min())
+        if lead != self._lead:
+            gaps -= lead - self._lead
+            self._lead = lead
+            np.take(self._powers, gaps, mode="clip", out=self.omega)
+        return total
 
     def answer(self) -> int:
         """Lowest-id vertex with the fewest lies charged."""

@@ -105,9 +105,34 @@ def connected_atlas():
     return out
 
 
-def renormalize_unflushed(state):
-    """WeightState.renormalize without the flush: scale to sum one and keep
-    whatever the division leaves, subnormal entries included."""
-    t = float(state.omega.sum())
-    state.omega /= t
-    return t
+class FloatWeights:
+    """The float weight update that WeightState's power table replaced:
+    downweight multiplies each inconsistent weight by 1/gamma, renormalize
+    divides by the sum and flushes entries below finfo.tiny to 0."""
+
+    def __init__(self, n, gamma):
+        self.gamma = gamma
+        self.omega = np.full(n, 1.0 / n)
+        self.lies = np.zeros(n, dtype=np.int64)
+
+    @classmethod
+    def uniform(cls, n, gamma):
+        return cls(n, gamma)
+
+    @property
+    def total(self):
+        return float(self.omega.sum())
+
+    def downweight(self, consistent):
+        out = ~consistent
+        np.multiply(self.omega, 1.0 / self.gamma, out=self.omega, where=out)
+        self.lies += out
+
+    def renormalize(self):
+        t = self.total
+        self.omega /= t
+        self.omega[self.omega < np.finfo(np.float64).tiny] = 0.0
+        return t
+
+    def answer(self):
+        return int(np.argmin(self.lies))

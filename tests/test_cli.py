@@ -143,7 +143,7 @@ def test_verify_median_bad_weight_count(tmp_path):
 
 
 def test_verify_median_accepts_zero_weights(tmp_path, capsys):
-    # a weight vector the search loop writes once it has flushed underflow
+    # a weight vector the search holds once a gap in lies has underflowed
     edges = tmp_path / "p5.edges"
     main(["generate", "--graph", "path", "--n", "5", "--out", str(edges)])
     weights = tmp_path / "w.json"

@@ -13,6 +13,8 @@ import graphbisect.graph
 from graphbisect.graph import (
     DisconnectedGraphError,
     _dist_dtype,
+    _er_edges,
+    _random_regular_edges,
     branch_masks,
     build_graph,
     consistent_mask,
@@ -380,6 +382,25 @@ def test_generator_determinism():
     c = generate("random-tree", 36, seed=1)
     d = generate("random-tree", 36, seed=2)
     assert c.edges != d.edges
+
+
+@pytest.mark.parametrize("kind,params,draw,seed", [
+    ("erdos-renyi-connected", {"p": 0.15}, lambda rng: _er_edges(12, 0.15, rng), 1),
+    ("random-regular", {"degree": 2}, lambda rng: _random_regular_edges(12, 2, rng), 2),
+])
+def test_generate_draws_again_until_connected(kind, params, draw, seed):
+    # the first draws on these seeds are disconnected; generate returns the
+    # first connected one from the same stream
+    rng = np.random.default_rng(seed)
+    draws = 0
+    while True:
+        edges = draw(rng)
+        draws += 1
+        if min(bfs_dist(12, edges, 0)) >= 0:
+            break
+    assert draws > 1
+    g = generate(kind, 12, params, seed=seed)
+    assert g.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
 def test_generator_validation():

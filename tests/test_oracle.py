@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,7 @@ def test_tie_break_lowest_id():
 
 def test_tie_break_adversarial_weight():
     g = generate("cycle", 4)
-    w = WeightState.uniform(4)
-    w.omega = np.array([0.1, 0.2, 0.1, 0.6])
+    w = SimpleNamespace(omega=np.array([0.1, 0.2, 0.1, 0.6]))
     oracle = NoisyOracle(
         g, 0, 0.0, np.random.default_rng(9), tie_break="adversarial-weight"
     )
@@ -140,8 +141,7 @@ def test_tie_break_adversarial_weight():
 
 def test_adversarial_wrong_targets_heavy_branch():
     g = generate("path", 5)
-    w = WeightState.uniform(5)
-    w.omega = np.array([0.05, 0.05, 0.05, 0.05, 0.8])
+    w = SimpleNamespace(omega=np.array([0.05, 0.05, 0.05, 0.05, 0.8]))
     oracle = NoisyOracle(
         g, 0, 0.49, np.random.default_rng(10), error_model="adversarial-wrong"
     )
@@ -202,8 +202,7 @@ def test_random_schedule_spends_exactly_budget():
 
 def test_greedy_adversary_lies_toward_heavy_weight():
     g = generate("path", 5)
-    w = WeightState.uniform(5)
-    w.omega = np.array([0.05, 0.05, 0.1, 0.1, 0.7])
+    w = SimpleNamespace(omega=np.array([0.05, 0.05, 0.1, 0.1, 0.7]))
     oracle = AdversarialOracle(g, 0, budget=10, schedule="greedy-heavy")
     # truth at query 2 points to 1 (weight 0.1); lying toward 3 keeps 0.8
     r = oracle.reply(2, weights=w)
@@ -216,8 +215,7 @@ def test_greedy_adversary_lies_toward_heavy_weight():
 
 def test_greedy_adversary_honest_when_truth_heavier():
     g = generate("path", 5)
-    w = WeightState.uniform(5)
-    w.omega = np.array([0.7, 0.1, 0.1, 0.05, 0.05])
+    w = SimpleNamespace(omega=np.array([0.7, 0.1, 0.1, 0.05, 0.05]))
     oracle = AdversarialOracle(g, 0, budget=10, schedule="greedy-heavy")
     r = oracle.reply(2, weights=w)
     assert r == 1 and not oracle.last_was_error and oracle.lies_spent == 0
@@ -225,7 +223,7 @@ def test_greedy_adversary_honest_when_truth_heavier():
 
 def test_adversary_budget_never_exceeded(rng):
     g = generate("erdos-renyi-connected", 20, seed=3)
-    w = WeightState.uniform(20)
+    w = WeightState.uniform(20, 1.5)
     oracle = AdversarialOracle(g, 7, budget=4, schedule="greedy-heavy")
     for _ in range(200):
         q = int(rng.integers(0, 20))

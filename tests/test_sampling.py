@@ -111,15 +111,15 @@ def _run_steps(g, steps, seed, size=2000):
     """Random replies against a sample that tracks its sums, checked from
     scratch after every step; also returns how many counts each step changed."""
     rng = np.random.default_rng(seed)
-    ws = WeightState.uniform(g.n)
-    s = Sample.draw(ws.omega, size, rng, graph=g)
     gamma = 1.0 / 0.6
+    ws = WeightState.uniform(g.n, gamma)
+    s = Sample.draw(ws.omega, size, rng, graph=g)
     redrawn, changed = [], []
     for t in range(steps):
         q = int(rng.integers(0, g.n))
         reply = int(rng.choice([q] + [int(u) for u in g.neighbors[q]]))
         mask = consistent_mask(g, q, reply)
-        ws.downweight(mask, gamma)
+        ws.downweight(mask)
         ws.renormalize()
         before = s.counts.copy()
         redrawn.append(s.resample(mask, ws.omega, gamma, rng))
