@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Check that this checkout makes the same search decisions as another revision.
 
-Runs the benchmark's searches (every workload in perfbench/workloads.py,
-seeds 1-3) and acceptance criterion 5's 600 adversarial rows twice: once
-with this checkout's package and once with the package of REV, unpacked by
-git archive into a temporary directory. Both runs build their searches from
-this checkout's perfbench/workloads.py. Each search is reduced to a hash of
-its queries, replies, members redrawn and walk potentials (so a change in
-which members are redrawn shows before it moves a query); each
-criterion-5 row is reduced to a hash of its search and one of its fields.
-Prints every hash that differs and a count per kind, and exits 1 if one
-differs.
+Runs acceptance criterion 1's median-bisection suite, the benchmark's
+searches (every workload in perfbench/workloads.py, seeds 1-3) and
+criterion 5's 600 adversarial rows twice: once with this checkout's package
+and once with the package of REV, unpacked by git archive into a temporary
+directory. Both runs build their searches from this checkout's
+perfbench/workloads.py. Criterion 1 is reduced to one hash of its small
+graphs (n and edge lists, in order) and one of its 49 800 exact-median
+picks. Each search is reduced to a hash of its queries, replies, members
+redrawn and walk potentials (so a change in which members are redrawn
+shows before it moves a query); each criterion-5 row is reduced to a hash
+of its search and one of its fields. Prints every hash that differs and a
+count per kind, and exits 1 if one differs.
 
     python3 scripts/decision_parity.py --against HEAD~1
 
@@ -44,6 +46,7 @@ def emit(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
     import graphbisect
     import graphbisect.harness as harness
+    import graphbisect.verify as verify
 
     if Path(graphbisect.__file__).resolve().parent != (tree / "src" / "graphbisect").resolve():
         raise SystemExit(f"graphbisect came from {graphbisect.__file__}, not {tree}")
@@ -51,6 +54,25 @@ def emit(tree: Path) -> None:
 
     def out(label, digest):
         print(json.dumps({"label": label, "hash": digest}), flush=True)
+
+    # criterion 1, as tests/test_acceptance.py runs it, with every median
+    # pick recorded on its way out of exact_median
+    graphs = verify._connected_small_graphs()
+    out("criterion1/graphs", hashlib.sha256(repr(graphs).encode()).hexdigest()[:16])
+    picks = []
+    median = verify.exact_median
+
+    def recorded_median(*args, **kwargs):
+        v = median(*args, **kwargs)
+        picks.append(v)
+        return v
+
+    verify.exact_median = recorded_median
+    rep = verify.median_bisection_suite(weights_per_graph=50, seed=11)
+    verify.exact_median = median
+    if len(picks) != rep["cases"]:
+        raise SystemExit(f"recorded {len(picks)} median picks of {rep['cases']} cases")
+    out("criterion1/medians", hashlib.sha256(repr(picks).encode()).hexdigest()[:16])
 
     for seed in SEEDS:
         for name, build in WORKLOADS.items():
@@ -132,8 +154,9 @@ def main() -> int:
     for label in missing:
         print(f"differs: {label}  {commit} {theirs[label]}  this checkout -")
     kinds = {
+        "criterion-1 hashes": lambda label: label.startswith("criterion1/"),
         f"benchmark searches on seeds {', '.join(map(str, SEEDS))}":
-            lambda label: not label.startswith("criterion5/"),
+            lambda label: not label.startswith("criterion"),
         "criterion-5 searches": lambda label: label.endswith("/search"),
         "criterion-5 rows": lambda label: label.endswith("/row"),
     }

@@ -179,7 +179,12 @@ def _cmd_verify_median(args) -> int:
     g = load_edge_list(args.edges)
     if args.weights:
         with open(args.weights) as fh:
-            omega = np.asarray(json.load(fh), dtype=float)
+            data = json.load(fh)
+        if not isinstance(data, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
+        ):
+            raise SystemExit("weights must be a flat JSON array of numbers")
+        omega = np.asarray(data, dtype=float)
         if len(omega) != g.n:
             raise SystemExit(f"expected {g.n} weights, got {len(omega)}")
         # zeros are legal: the search gives an underflowed weight exactly 0

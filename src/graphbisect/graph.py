@@ -385,11 +385,12 @@ def branch_masks(g: Graph, q: int, replies) -> np.ndarray:
 def consistent_mask(g: Graph, q: int, reply: int) -> np.ndarray:
     """Boolean mask of targets consistent with hearing `reply` at query `q`.
 
-    Raises ValueError unless `reply` is an integer vertex id that is q
-    itself or one of its neighbors.
+    Raises ValueError unless `reply` is an integer vertex id, not a bool,
+    that is q itself or one of its neighbors.
     """
     n = g.n
-    if not isinstance(reply, (int, np.integer)) or not 0 <= reply < n:
+    ok = isinstance(reply, (int, np.integer)) and not isinstance(reply, bool)
+    if not ok or not 0 <= reply < n:
         raise ValueError(f"reply {reply!r} is not a vertex id in [0, {n})")
     if reply != q and reply not in g.neighbors[q]:
         raise ValueError(f"reply {reply} is neither query {q} nor a neighbor")
@@ -524,20 +525,33 @@ def _random_regular_edges(n, d, rng):
     raise RuntimeError(f"no simple {d}-regular pairing found for n={n}")
 
 
-GRAPH_KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "grid",
-    "random-tree",
-    "erdos-renyi-connected",
-    "random-regular",
-)
+# each graph kind and the params keys it reads
+_KIND_PARAMS = {
+    "path": (),
+    "cycle": (),
+    "complete": (),
+    "grid": ("rows", "cols"),
+    "random-tree": (),
+    "erdos-renyi-connected": ("p",),
+    "random-regular": ("degree",),
+}
+GRAPH_KINDS = tuple(_KIND_PARAMS)
 
 
 def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Graph:
-    """Build a named graph family member; random kinds retry until connected."""
+    """Build a named graph family member; random kinds retry until connected.
+
+    Raises ValueError for an unknown kind or a params key the kind does not
+    read.
+    """
     params = dict(params or {})
+    if kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
+    unread = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if unread:
+        raise ValueError(
+            f"{kind} does not read params {unread}; it reads {list(_KIND_PARAMS[kind])}"
+        )
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     rng = np.random.default_rng(seed)
@@ -561,23 +575,22 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
             except DisconnectedGraphError:
                 pass
         raise RuntimeError(f"no connected G({n}, {p}) draw in 200 attempts")
-    if kind == "random-regular":
-        d = int(params.get("degree", 3))
-        if d < 0 or d > n - 1:
-            raise ValueError(f"degree {d} impossible for n={n}")
-        if (n * d) % 2:
-            raise ValueError(f"n*degree must be even, got n={n} d={d}")
-        if d == 0:
-            if n == 1:
-                return build_graph(1, [])
-            raise ValueError("degree 0 is disconnected for n > 1")
-        for _ in range(200):
-            try:
-                return build_graph(n, _random_regular_edges(n, d, rng))
-            except DisconnectedGraphError:
-                pass
-        raise RuntimeError(f"no connected {d}-regular graph for n={n}")
-    raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
+    # the one kind left: random-regular
+    d = int(params.get("degree", 3))
+    if d < 0 or d > n - 1:
+        raise ValueError(f"degree {d} impossible for n={n}")
+    if (n * d) % 2:
+        raise ValueError(f"n*degree must be even, got n={n} d={d}")
+    if d == 0:
+        if n == 1:
+            return build_graph(1, [])
+        raise ValueError("degree 0 is disconnected for n > 1")
+    for _ in range(200):
+        try:
+            return build_graph(n, _random_regular_edges(n, d, rng))
+        except DisconnectedGraphError:
+            pass
+    raise RuntimeError(f"no connected {d}-regular graph for n={n}")
 
 
 # ---------------------------------------------------------------------------

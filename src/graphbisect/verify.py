@@ -8,10 +8,12 @@ sampled closeness, marginal preservation) at desk scale with fixed seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from ._atlas import CONNECTED_MASKS
 from .graph import Graph, build_graph, consistent_mask, generate
 from .oracle import NoisyOracle
 from .potential import (
@@ -179,14 +181,13 @@ def transcript_checks(t: SearchTranscript, g: Graph) -> list[dict]:
 
 
 def _connected_small_graphs() -> list[tuple[int, list[tuple[int, int]]]]:
-    """Every connected simple graph on at most 7 vertices."""
-    import networkx as nx
-
+    """Every connected simple graph on at most 7 vertices, one per
+    isomorphism class in atlas order, as (n, sorted edge list) pairs."""
     out = []
-    for g in nx.graph_atlas_g():
-        if g.number_of_nodes() == 0 or not nx.is_connected(g):
-            continue
-        out.append((g.number_of_nodes(), [tuple(sorted(e)) for e in g.edges()]))
+    for n, masks in CONNECTED_MASKS.items():
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in masks:
+            out.append((n, [p for k, p in enumerate(pairs) if mask >> k & 1]))
     return out
 
 

@@ -92,19 +92,6 @@ def positive_weights(rng, n):
     return w
 
 
-def connected_atlas():
-    """All connected simple graphs on at most 7 vertices, as (n, edges) pairs."""
-    import networkx as nx
-
-    out = []
-    for g in nx.graph_atlas_g():
-        n = g.number_of_nodes()
-        if n == 0 or not nx.is_connected(g):
-            continue
-        out.append((n, [tuple(sorted(e)) for e in g.edges()]))
-    return out
-
-
 class FloatWeights:
     """The float weight update that WeightState's power table replaced:
     downweight multiplies each inconsistent weight by 1/gamma, renormalize

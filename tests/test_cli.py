@@ -160,6 +160,8 @@ def test_verify_median_accepts_zero_weights(tmp_path, capsys):
     ("[0.5, -0.1, 0.2, 0.2, 0.2]", "finite and nonnegative"),
     ("[0.5, NaN, 0.2, 0.2, 0.2]", "finite and nonnegative"),
     ("[0.0, 0.0, 0.0, 0.0, 0.0]", "positive sum"),
+    ("[[1, 1], [1, 1], [1, 1], [1, 1], [1, 1]]", "flat JSON array of numbers"),
+    ('{"0": 1, "1": 1, "2": 1, "3": 1, "4": 1}', "flat JSON array of numbers"),
 ])
 def test_verify_median_rejects_bad_weights(tmp_path, text, message):
     edges = tmp_path / "p5.edges"

@@ -24,8 +24,9 @@ from graphbisect.graph import (
     load_edge_list,
     save_edge_list,
 )
+from graphbisect.verify import _connected_small_graphs
 
-from _reference import bfs_dist, brute_consistent, connected_atlas, floyd_warshall
+from _reference import bfs_dist, brute_consistent, floyd_warshall
 
 
 def random_connected(rng, n):
@@ -66,7 +67,7 @@ def test_distances_match_floyd_warshall(rng):
 
 
 def test_distances_match_floyd_warshall_on_atlas():
-    graphs = connected_atlas()
+    graphs = _connected_small_graphs()
     assert len(graphs) == 996
     for n, edges in graphs:
         d = distance_matrix(n, edges)
@@ -164,6 +165,15 @@ def test_import_does_not_load_scipy():
     _run_in_fresh_interpreter(
         "import sys, graphbisect, graphbisect.cli, graphbisect.harness; "
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+
+
+def test_small_graphs_need_no_networkx():
+    _run_in_fresh_interpreter(
+        "import sys; sys.modules['networkx'] = None; "
+        "import graphbisect, graphbisect.verify as v; "
+        "rep = v.median_bisection_suite(weights_per_graph=1); "
+        "assert rep['graphs'] == 996 and rep['passed'], rep"
     )
 
 
@@ -279,12 +289,20 @@ def test_consistency_partition(path5):
 
 
 def test_consistency_rejects_non_neighbor(path5):
-    with pytest.raises(ValueError):
-        consistent_mask(path5, 0, 2)
-    # -1 would index vertex 4, a neighbor of 3; 5 is past the last row
-    for bad in (-1, 5):
+    dense = build_graph(5, path5.edges)
+    dense.dist
+    for g in (path5, dense):
+        with pytest.raises(ValueError):
+            consistent_mask(g, 0, 2)
+        # -1 would index vertex 4, a neighbor of 3; 5 is past the last row
+        for bad in (-1, 5):
+            with pytest.raises(ValueError, match="not a vertex id"):
+                consistent_mask(g, 3, bad)
+        # True would read as vertex 1, a neighbor of 0, on lazy rows, and
+        # as a boolean index that adds an axis on the dense matrix
         with pytest.raises(ValueError, match="not a vertex id"):
-            consistent_mask(path5, 3, bad)
+            consistent_mask(g, 0, True)
+    assert "dist" not in vars(path5) and "dist" in vars(dense)
 
 
 def test_self_reply_isolates_query(path5):
@@ -414,6 +432,16 @@ def test_generator_validation():
         generate("unknown-kind", 5)
     with pytest.raises(ValueError):
         generate("erdos-renyi-connected", 10, {"p": 1.5})
+    # a key the kind does not read is an error, not a silent default
+    for kind, n, params in [
+        ("random-regular", 10, {"degre": 4}),
+        ("erdos-renyi-connected", 10, {"prob": 0.9}),
+        ("grid", 12, {"rows": 3, "cols": 4, "p": 0.5}),
+        ("path", 5, {"degree": 2}),
+        ("random-tree", 5, {"rows": 1}),
+    ]:
+        with pytest.raises(ValueError, match="does not read"):
+            generate(kind, n, params)
 
 
 def test_er_edge_probability_unbiased():
@@ -469,7 +497,7 @@ def _check_rows_against_matrix(n, edges, rng):
 
 
 def test_rows_match_the_matrix_on_the_atlas(rng):
-    for n, edges in connected_atlas():
+    for n, edges in _connected_small_graphs():
         _check_rows_against_matrix(n, edges, rng)
 
 

@@ -1,8 +1,11 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from graphbisect import verify
-from graphbisect.graph import generate
+from graphbisect.graph import build_graph, generate
 from graphbisect.oracle import NoisyOracle
 from graphbisect.strategy import SearchTranscript, derive_config, run_search
 
@@ -27,6 +30,32 @@ def global_run():
 @pytest.fixture(scope="module")
 def local_run():
     return _debug_run("local-search")
+
+
+def test_small_graphs_are_every_connected_graph_up_to_isomorphism():
+    graphs = verify._connected_small_graphs()
+    # OEIS A001349: connected graphs on n unlabelled vertices
+    counts = Counter(n for n, _ in graphs)
+    assert [counts[n] for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    for n, edges in graphs:
+        build_graph(n, edges)  # raises unless simple and connected
+    # pairwise non-isomorphic: a graph's canonical code is its least edge
+    # bitmask over all n! relabellings, the row minimum of one matmul
+    for n in range(1, 8):
+        pairs = list(itertools.combinations(range(n), 2))
+        bit = {p: 1 << k for k, p in enumerate(pairs)}
+        perms = list(itertools.permutations(range(n)))
+        # moved[k, j]: the bit of pair k under the j-th relabelling
+        moved = np.array(
+            [[bit[tuple(sorted((perm[a], perm[b])))] for perm in perms] for a, b in pairs],
+            dtype=np.int64,
+        ).reshape(len(pairs), len(perms))
+        has = np.array(
+            [[p in edges for p in pairs] for m, edges in graphs if m == n],
+            dtype=np.int64,
+        ).reshape(counts[n], len(pairs))
+        codes = (has @ moved).min(axis=1)
+        assert len(set(codes.tolist())) == counts[n]
 
 
 def _synthetic(ratios, heavy, queries, near, epsilon=0.2, n=24):
