@@ -2,9 +2,11 @@
 """Probe robustness against an adversarial answerer.
 
 Sweeps the adversary's lie budget as a fraction of the query horizon and
-records how often the search still lands on the target.  The tolerated
-fraction for the exact-median policy sits just below 0.376, so the sweep
-brackets that point by default.
+records how often the search still lands on the target.  The analysis
+guarantees success below a 0.376 fraction, and the default fractions
+bracket that point; the greedy-heavy adversary does not reach it in
+practice (README, "Experiments": on ER-64 exact-median held at 0.45 and
+failed near one half).
 """
 
 import argparse

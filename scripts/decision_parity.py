@@ -11,8 +11,12 @@ graphs (n and edge lists, in order) and one of its 49 800 exact-median
 picks. Each search is reduced to a hash of its queries, replies, members
 redrawn and walk potentials (so a change in which members are redrawn
 shows before it moves a query); each criterion-5 row is reduced to a hash
-of its search and one of its fields. Prints every hash that differs and a
-count per kind, and exits 1 if one differs.
+of its search and one of its fields. Two tie hashes cover the tie rule
+directly: the exact-median picks and greedy-heavy's replies to every
+query on vertex-transitive graphs (cycles of 66, 100 and 1 025 vertices,
+K9 and the 3-cube), where every vertex or branch can tie, under uniform
+and power-table weights. Prints every hash that differs and a count per
+kind, and exits 1 if one differs.
 
     python3 scripts/decision_parity.py --against HEAD~1
 
@@ -29,6 +33,9 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -47,6 +54,10 @@ def emit(tree: Path) -> None:
     import graphbisect
     import graphbisect.harness as harness
     import graphbisect.verify as verify
+    from graphbisect.graph import build_graph, generate
+    from graphbisect.oracle import AdversarialOracle
+    from graphbisect.potential import exact_median
+    from graphbisect.weights import power_table
 
     if Path(graphbisect.__file__).resolve().parent != (tree / "src" / "graphbisect").resolve():
         raise SystemExit(f"graphbisect came from {graphbisect.__file__}, not {tree}")
@@ -73,6 +84,21 @@ def emit(tree: Path) -> None:
     if len(picks) != rep["cases"]:
         raise SystemExit(f"recorded {len(picks)} median picks of {rep['cases']} cases")
     out("criterion1/medians", hashlib.sha256(repr(picks).encode()).hexdigest()[:16])
+
+    # the tie rule on graphs where every vertex ties under uniform weights
+    tie_graphs = [generate("cycle", n) for n in (66, 100, 1025)] + [
+        generate("complete", 9),
+        build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+    ]
+    rng = np.random.default_rng(15)
+    medians, replies = [], []
+    for g in tie_graphs:
+        for w in (np.full(g.n, 1.0 / g.n), power_table(125 / 63)[rng.integers(0, 4, g.n)]):
+            medians.append(exact_median(w, g))
+            oracle = AdversarialOracle(g, int(rng.integers(g.n)), g.n, "greedy-heavy")
+            replies += [oracle.reply(q, SimpleNamespace(omega=w)) for q in range(g.n)]
+    out("ties/medians", hashlib.sha256(repr(medians).encode()).hexdigest()[:16])
+    out("ties/greedy-heavy", hashlib.sha256(repr(replies).encode()).hexdigest()[:16])
 
     for seed in SEEDS:
         for name, build in WORKLOADS.items():
@@ -155,8 +181,9 @@ def main() -> int:
         print(f"differs: {label}  {commit} {theirs[label]}  this checkout -")
     kinds = {
         "criterion-1 hashes": lambda label: label.startswith("criterion1/"),
+        "tie hashes": lambda label: label.startswith("ties/"),
         f"benchmark searches on seeds {', '.join(map(str, SEEDS))}":
-            lambda label: not label.startswith("criterion"),
+            lambda label: not label.startswith(("criterion", "ties/")),
         "criterion-5 searches": lambda label: label.endswith("/search"),
         "criterion-5 rows": lambda label: label.endswith("/row"),
     }

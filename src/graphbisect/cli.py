@@ -33,6 +33,17 @@ def _parse_sizes(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _parse_object(text: str, source: str) -> dict:
+    """The JSON object in text; exits with a one-line message otherwise."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{source}: invalid JSON: {exc}")
+    if not isinstance(value, dict):
+        raise SystemExit(f"{source}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="graphbisect", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -91,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    params = json.loads(args.params) if args.params else None
+    params = _parse_object(args.params, "--params") if args.params else None
     g = generate(args.graph, args.n, params, seed=args.seed)
     out = args.out or f"{args.graph}-{args.n}.edges"
     save_edge_list(g, out)
@@ -103,11 +114,11 @@ def _spec_from_args(args) -> ExperimentSpec:
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = _parse_object(fh.read(), f"--config {args.config}")
     overrides = {
         "graph": args.graph,
         "n": args.n,
-        "params": json.loads(args.params) if args.params else None,
+        "params": _parse_object(args.params, "--params") if args.params else None,
         "epsilon": args.epsilon,
         "p": args.p,
         "policies": _parse_policies(args.policy) if args.policy else None,
@@ -117,7 +128,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         "scale_s": args.scale_s,
         "out": args.out,
         "oracle": args.oracle,
-        "oracle_params": json.loads(args.oracle_params) if args.oracle_params else None,
+        "oracle_params": (
+            _parse_object(args.oracle_params, "--oracle-params") if args.oracle_params else None
+        ),
         "workers": args.workers,
     }
     cfg.update({k: v for k, v in overrides.items() if v is not None})

@@ -541,10 +541,13 @@ GRAPH_KINDS = tuple(_KIND_PARAMS)
 def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Graph:
     """Build a named graph family member; random kinds retry until connected.
 
-    Raises ValueError for an unknown kind or a params key the kind does not
-    read.
+    Raises ValueError for an unknown kind, params that are not a dict or a
+    params key the kind does not read.
     """
-    params = dict(params or {})
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict, got {type(params).__name__}")
     if kind not in _KIND_PARAMS:
         raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
     unread = sorted(set(params) - set(_KIND_PARAMS[kind]))

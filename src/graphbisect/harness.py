@@ -54,6 +54,10 @@ class ExperimentSpec:
         for pol in self.policies:
             if pol not in POLICIES:
                 raise ValueError(f"unknown policy {pol!r}; known: {POLICIES}")
+        for name in ("params", "oracle_params"):
+            value = getattr(self, name)
+            if not isinstance(value, dict):
+                raise ValueError(f"{name} must be a dict, got {type(value).__name__}")
         if self.oracle not in ("noisy", "adversarial"):
             raise ValueError(f"oracle must be noisy or adversarial, got {self.oracle!r}")
         if self.epsilon is None and self.p is None:

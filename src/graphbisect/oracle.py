@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, branch_masks
-from .potential import branch_weights
+from .potential import _gamma, exact_argbest
 
 TIE_BREAKS = ("uniform-random", "lowest-id", "adversarial-weight")
 ERROR_MODELS = ("uniform-wrong", "adversarial-wrong")
@@ -39,10 +39,20 @@ def wrong_replies(g: Graph, target: int, q: int) -> np.ndarray:
     return np.concatenate((wrong[:i], np.full(1, q, dtype=wrong.dtype), wrong[i:]))
 
 
-def _heaviest(ids: np.ndarray, weights: np.ndarray) -> int:
-    """Id with the largest weight, lowest id on exact ties."""
-    best = weights.max()
-    return int(ids[weights >= best].min())
+def _heaviest(masks: np.ndarray, omega: np.ndarray) -> int:
+    """Index of the mask row that keeps the most weight, exactly, for
+    nonnegative omega; the lowest index on ties.
+
+    masks @ omega screens: each entry adds at most n exact terms (a mask
+    entry is 0 or 1), so in any order it is within gamma_{n-1} of the exact
+    sum at unit roundoff 2**-53, and gamma_{n+2} leaves three terms to
+    spare for the rounding of the cut. A row whose entry is below the cut
+    keeps less than the row of the largest entry; exact_argbest decides
+    among the rest.
+    """
+    w = masks @ omega
+    near = np.flatnonzero(w >= w.max() * (1.0 - 2.0 * _gamma(len(omega) + 2, 2.0 ** -53)))
+    return int(near[0] if len(near) == 1 else near[exact_argbest(masks[near], omega, largest=True)])
 
 
 class NoisyOracle:
@@ -84,7 +94,7 @@ class NoisyOracle:
         if self.tie_break == "adversarial-weight":
             if omega is None:
                 raise ValueError("adversarial-weight tie break needs the weight vector")
-            return _heaviest(cands, branch_weights(omega, self.g, q, cands))
+            return int(cands[_heaviest(branch_masks(self.g, q, cands), omega)])
         return int(cands[self.rng.integers(len(cands))])
 
     def _pick_wrong(self, q: int, truth: int, omega) -> int:
@@ -94,7 +104,7 @@ class NoisyOracle:
         if self.error_model == "adversarial-wrong":
             if omega is None:
                 raise ValueError("adversarial-wrong errors need the weight vector")
-            return _heaviest(wrong, branch_weights(omega, self.g, q, wrong))
+            return int(wrong[_heaviest(branch_masks(self.g, q, wrong), omega)])
         # neighbors first and q last, the order the uniform draw has always
         # indexed, so seeded runs keep their replies wherever truth is unique
         wrong = np.concatenate([wrong[wrong != q], wrong[wrong == q]])
@@ -166,20 +176,14 @@ class AdversarialOracle:
                 raise ValueError("greedy-heavy needs the weight vector")
             wrong = wrong_replies(self.g, self.target, q)
             can_lie = self.lies_spent < self.budget and len(wrong) > 0
-            # one mask build serves both reply sets; each set's weights come
-            # from a matvec over its own rows, the shape branch_weights uses,
-            # so they match it bit for bit and exact ties fall the same way
-            k = len(cands)
-            masks = branch_masks(self.g, q, np.concatenate((cands, wrong)) if can_lie else cands)
-            truth_w = masks[:k] @ omega
-            if can_lie:
-                wrong_w = masks[k:] @ omega
-                if wrong_w.max() > truth_w.max():
-                    self.lies_spent += 1
-                    self.last_was_error = True
-                    return _heaviest(wrong, wrong_w)
-            self.last_was_error = False
-            return _heaviest(cands, truth_w)
+            # the truthful rows come first and ties go to the lowest index,
+            # so a wrong reply wins only when it keeps strictly more weight
+            # than every truthful one
+            replies = np.concatenate((cands, wrong)) if can_lie else cands
+            i = _heaviest(branch_masks(self.g, q, replies), omega)
+            self.last_was_error = i >= len(cands)
+            self.lies_spent += self.last_was_error
+            return int(replies[i])
 
         lie_now = (
             t in self._lie_steps

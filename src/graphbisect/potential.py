@@ -6,9 +6,10 @@ search loop and the verification suites share them. The vector is a weight
 vector or a sample's member counts: the branch weight of a reply is the
 vector's sum over the vertices that reply keeps consistent, which for
 counts is the number of members it keeps. Full potentials read the whole
-matrix through Graph.matvec, one float64 block at a time; the median first
-screens with one float32 product and proves its answer from a bound on the
-rounding (see _certified_argmin).
+matrix through Graph.matvec, one float64 block at a time. The median
+screens with one float32 product, and a bound on its rounding leaves only
+near ties to exact_argbest, the one exact comparison of integer rows
+against float weights, which the oracle's weight-steered replies share.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ def phi_all(omega: np.ndarray, g: Graph) -> np.ndarray:
     return g.matvec(omega)
 
 
-# unit roundoff and smallest subnormal of float32 and of float64
+# unit roundoff and smallest subnormal of float32
 _U32, _SUB32 = 2.0 ** -24, 2.0 ** -149
-_U64, _SUB64 = 2.0 ** -53, 2.0 ** -1074
+# rows per block of exact_argbest's class sums
+_EXACT_ROWS = 64
 
 
 def _gamma(k: int, u: float) -> float:
@@ -39,63 +41,79 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _certified_argmin(phi32: np.ndarray, g: Graph) -> int | None:
-    """The argmin of the float64 product dist @ omega, proved from the
-    float32 screen phi32 = dist32 @ float32(omega); None when undecided.
+def exact_argbest(rows: np.ndarray, x: np.ndarray, largest: bool = False) -> int:
+    """Index of the row with the least exact sum row @ x, or the greatest
+    when largest is set; the lowest index on ties.
+
+    rows hold integers (hop counts or branch masks) and x finite floats.
+    Grouping x by distinct value makes each sum a sum over the classes of
+    value times the row's integer sum over that class, and every float is
+    an integer over a power of two, so scaling the values by the largest
+    of those denominators turns each sum into one Python integer: the
+    comparison is exact, whatever order a BLAS would add in. The class sums
+    are taken a block of rows at a time, so no wide copy of rows is made.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("weights must be finite")
+    order = np.argsort(x)
+    values, starts = np.unique(x[order], return_index=True)
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = max(d for _, d in ratios)
+    scaled = np.array([num * (den // d) for num, d in ratios], dtype=object)
+    keys = np.empty(len(rows), dtype=object)
+    for lo in range(0, len(rows), _EXACT_ROWS):
+        block = rows[lo:lo + _EXACT_ROWS][:, order]
+        sums = np.add.reduceat(block, starts, axis=1, dtype=np.int64)
+        keys[lo:lo + len(sums)] = sums.astype(object) @ scaled
+    return int(np.argmax(keys) if largest else np.argmin(keys))
+
+
+def _survivors(phi32: np.ndarray, g: Graph) -> np.ndarray:
+    """Vertices, ascending, whose exact weighted distance sum the float32
+    screen phi32 = dist32 @ float32(omega) cannot place above the least.
 
     For nonnegative omega with exact sums phi, each screened entry is
     within r phi + a of phi: r = gamma_{n+2} at float32 precision covers
     the cast of omega, the n rounded terms and, with one term to spare,
     the float64 rounding of the bounds below; a = n (D + 1) 2**-149 covers
-    the float32 underflow of weights and products. The float64 product P
-    is in turn within r64 phi + a64 of phi. So P(c) <= hi for the screen's
-    argmin c, and a vertex whose screened entry exceeds cut has P above
-    hi. When c is the only vertex at or below cut, P is lowest at c alone
-    and c is what np.argmin(dist @ omega) returns. A tie, a near tie or a
-    non-finite entry leaves it undecided.
+    the float32 underflow of weights and products. So the least exact sum
+    is at most hi for the screen's least entry, and a vertex whose entry
+    exceeds cut has an exact sum above hi. A non-finite screen rules
+    nothing out.
     """
-    if not np.isfinite(phi32.sum()):
-        return None
-    n, c = g.n, int(np.argmin(phi32))
-    r, a = _gamma(n + 2, _U32), n * (g.diameter + 1) * _SUB32
-    r64, a64 = _gamma(n + 1, _U64), n * _SUB64
-    hi = (float(phi32[c]) + a) / (1.0 - r) * (1.0 + r64) + a64
-    cut = (hi + a64) * (1.0 + r) / (1.0 - r64) + a
-    return c if np.count_nonzero(phi32 <= np.float64(cut)) == 1 else None
+    if not np.isfinite(phi32).all():
+        return np.arange(g.n)
+    r, a = _gamma(g.n + 2, _U32), g.n * (g.diameter + 1) * _SUB32
+    hi = (float(phi32.min()) + a) / (1.0 - r)
+    return np.flatnonzero(phi32 <= np.float64(hi * (1.0 + r) + a))
 
 
 def exact_median(omega: np.ndarray, g: Graph) -> int:
-    """Lowest-id minimizer of the weighted distance sum, for nonnegative
-    weights, exactly as np.argmin(dist @ omega) picks it.
+    """Lowest-id minimizer of the exact weighted distance sum, for finite
+    nonnegative weights; ValueError for any other weight.
 
-    One float32 product against g.dist32 screens every vertex, and
-    _certified_argmin proves its answer is the float64 one. A tie, a near
-    tie, a non-finite screen or a negative weight falls back to the float64
-    product itself, which numpy forms by casting dist to a temporary
-    float64 matrix: Graph.matvec would avoid that copy, but a threaded BLAS
-    can round a row in its last bit differently there, and that bit
-    decides ties.
+    One float32 product against g.dist32 screens every vertex, and the
+    vertices its rounding bound cannot rule out (see _survivors) go to
+    exact_argbest, so a tie is settled by the exact sums, never by the
+    order a BLAS adds in.
     """
+    # min is nan when any weight is
+    if not 0 <= omega.min() <= omega.max() < np.inf:
+        raise ValueError("median weights must be finite and nonnegative")
     # a weight past float32's range casts to inf, and 0 * inf to nan: the
-    # screen then holds a non-finite entry and leaves the median undecided
+    # screen then holds a non-finite entry and rules nothing out
     with np.errstate(over="ignore", invalid="ignore"):
         phi32 = g.dist32 @ omega.astype(np.float32)
-    c = _certified_argmin(phi32, g) if omega.min() >= 0 else None
-    return int(np.argmin(g.dist @ omega)) if c is None else c
+    ids = _survivors(phi32, g)
+    return int(ids[0] if len(ids) == 1 else ids[exact_argbest(g.rows(ids), omega)])
 
 
-def branch_weights(
-    x: np.ndarray, g: Graph, v: int, replies: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum of x over the vertices each reply at v keeps, in reply order.
-
-    replies are v itself or its neighbors and default to every neighbor of
-    v; x is a weight vector or a sample's counts. The query vertex itself
-    is never on a neighbor's branch.
+def branch_weights(x: np.ndarray, g: Graph, v: int) -> np.ndarray:
+    """Sum of x over the vertices each neighbor of v keeps as a reply, in
+    neighbor order; x is a weight vector or a sample's counts. The query
+    vertex itself is never on a neighbor's branch.
     """
-    if replies is None:
-        replies = g.neighbors[v]
-    return branch_masks(g, v, replies) @ x
+    return branch_masks(g, v, g.neighbors[v]) @ x
 
 
 def worst_branch_weight(x: np.ndarray, g: Graph, v: int) -> float:

@@ -6,6 +6,7 @@ of the potential and consistency computations.
 """
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,9 +76,22 @@ def brute_worst_branch(n, edges, omega, v):
 
 
 def brute_median(n, edges, omega):
-    """Lowest-id minimizer of the weighted distance sum."""
-    vals = [brute_phi(n, edges, omega, v) for v in range(n)]
+    """Lowest-id minimizer of the weighted distance sum, summed exactly."""
+    w = [Fraction(float(x)) for x in omega]
+    vals = [sum(d * x for d, x in zip(bfs_dist(n, edges, v), w) if d and x) for v in range(n)]
     return vals.index(min(vals))
+
+
+def brute_heaviest(n, edges, omega, q, replies):
+    """The reply at q whose consistent set holds the most weight, summed
+    exactly, lowest id on ties, and that weight as a Fraction."""
+    w = [Fraction(float(x)) for x in omega]
+    best = None
+    for r in sorted(int(r) for r in replies):
+        kept = sum((w[v] for v in brute_consistent(n, edges, q, r)), Fraction(0))
+        if best is None or kept > best[1]:
+            best = (r, kept)
+    return best
 
 
 def positive_weights(rng, n):

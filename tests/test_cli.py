@@ -26,6 +26,31 @@ def test_generate_params_json(tmp_path):
     assert load_edge_list(out).max_degree == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--graph", "path", "--n", "5", "--params", "{bad"],
+    ["generate", "--graph", "path", "--n", "5", "--params", "[1]"],
+    ["run", "--graph", "path", "--n", "8", "--params", "{bad"],
+    ["run", "--graph", "path", "--n", "8", "--params", '[["p", 0.9]]'],
+    ["run", "--graph", "path", "--n", "8", "--oracle-params", "{bad"],
+    ["run", "--graph", "path", "--n", "8", "--oracle-params", '"ab"'],
+])
+def test_bad_json_options_exit_with_one_line(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    message = str(exc.value)
+    assert message.startswith(argv[-2]) and "\n" not in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+def test_bad_config_file_exits_with_one_line(text, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")])
+    assert str(exc.value).startswith(f"--config {cfg}") and "\n" not in str(exc.value)
+
+
 def test_run_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main([

@@ -442,6 +442,10 @@ def test_generator_validation():
     ]:
         with pytest.raises(ValueError, match="does not read"):
             generate(kind, n, params)
+    # params is a dict, not anything dict() would accept or choke on
+    for params in ([["p", 0.9]], [1], "ab", 0.9):
+        with pytest.raises(ValueError, match="params must be a dict"):
+            generate("erdos-renyi-connected", 16, params)
 
 
 def test_er_edge_probability_unbiased():

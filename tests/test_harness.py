@@ -56,6 +56,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentSpec.from_dict({"graph": "path", "n": 8, "colour": "red"})
 
+    @pytest.mark.parametrize("name", ["params", "oracle_params"])
+    @pytest.mark.parametrize("value", [[1], [["p", 0.9]], "ab", None])
+    def test_non_dict_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a dict"):
+            _spec(**{name: value})
+
     def test_single_policy_string_normalized(self):
         s = _spec(policies="exact-median")
         assert s.policies == ("exact-median",)

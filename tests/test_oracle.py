@@ -2,17 +2,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from graphbisect.graph import build_graph, consistent_set, generate
+from graphbisect.graph import branch_masks, build_graph, consistent_set, generate
 from graphbisect.oracle import (
     AdversarialOracle,
     NoisyOracle,
+    _heaviest,
     truthful_candidates,
     wrong_replies,
 )
-from graphbisect.weights import WeightState
+from graphbisect.weights import WeightState, power_table
 
-from _reference import bfs_dist
+from _reference import bfs_dist, brute_heaviest
 from test_graph import random_connected
 
 
@@ -229,3 +232,35 @@ def test_adversary_budget_never_exceeded(rng):
         q = int(rng.integers(0, 20))
         oracle.reply(q, weights=w)
         assert oracle.lies_spent <= 4
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(("path", "cycle", "grid", "random-tree", "erdos-renyi-connected")),
+    st.integers(3, 30), st.sampled_from((1.5, 2.0, 125 / 63)), st.integers(0, 2**32 - 1),
+)
+# instances where masks @ omega rounds an exact tie apart
+@example("grid", 7, 1.5, 287)
+@example("erdos-renyi-connected", 7, 1.5, 499)
+@example("path", 16, 1.5, 870)
+def test_weight_steered_replies_are_the_exact_heaviest(kind, n, gamma, seed):
+    # weights from a few table entries, so branches often tie exactly
+    rng = np.random.default_rng(seed)
+    g = generate(kind, n, seed=seed % 1000)
+    w = power_table(gamma)[rng.integers(0, 3, n)]
+    q, target = (int(v) for v in rng.integers(0, n, 2))
+    cands, wrong = truthful_candidates(g, target, q), wrong_replies(g, target, q)
+    truth = brute_heaviest(n, g.edges, w, q, cands)
+    for ids in (cands, wrong)[:1 + bool(len(wrong))]:
+        best = brute_heaviest(n, g.edges, w, q, ids)[0]
+        assert int(ids[_heaviest(branch_masks(g, q, ids), w)]) == best
+    weights = SimpleNamespace(omega=w)
+    noisy = NoisyOracle(g, target, 0.0, np.random.default_rng(0), tie_break="adversarial-weight")
+    assert noisy.reply(q, weights) == truth[0]
+    greedy = AdversarialOracle(g, target, budget=1, schedule="greedy-heavy")
+    r = greedy.reply(q, weights)
+    lie = brute_heaviest(n, g.edges, w, q, wrong) if len(wrong) else None
+    if lie is not None and lie[1] > truth[1]:
+        assert r == lie[0] and greedy.last_was_error and greedy.lies_spent == 1
+    else:
+        assert r == truth[0] and not greedy.last_was_error and greedy.lies_spent == 0

@@ -1,13 +1,16 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbisect.graph import branch_masks, build_graph, generate
-from graphbisect.oracle import truthful_candidates, wrong_replies
 from graphbisect.potential import (
-    _certified_argmin,
+    _survivors,
     branch_weights,
+    exact_argbest,
     exact_median,
     heavy_vertex,
     is_near_median,
@@ -40,8 +43,7 @@ def test_path5_by_hand(path5):
 
 @pytest.mark.parametrize("graph", ["grid9", "er16"])
 def test_branch_weights_match_branch_masks_bytewise(graph, request, rng):
-    # the oracle's truthful and wrong reply sets, and the default of every
-    # neighbor, all sum through the one matvec the masks define
+    # every neighbor's branch sums through the one matvec the masks define
     if graph == "er16":
         g = generate("erdos-renyi-connected", 16, seed=3)
     else:
@@ -52,10 +54,6 @@ def test_branch_weights_match_branch_masks_bytewise(graph, request, rng):
         nbrs = g.neighbors[q]
         assert branch_weights(w, g, q).tobytes() == (branch_masks(g, q, nbrs) @ w).tobytes()
         assert branch_weights(counts, g, q).tolist() == (branch_masks(g, q, nbrs) @ counts).tolist()
-        for target in range(g.n):
-            for ids in (truthful_candidates(g, target, q), wrong_replies(g, target, q)):
-                ref = branch_masks(g, q, ids) @ w
-                assert branch_weights(w, g, q, ids).tobytes() == ref.tobytes()
 
 
 def test_path4_median_tie_lowest_id():
@@ -165,31 +163,93 @@ def _weights(style, n, rng):
     st.sampled_from(_MEDIAN_KINDS), st.integers(3, 200), st.sampled_from(_WEIGHT_STYLES),
     st.integers(0, 2**32 - 1),
 )
-def test_exact_median_is_the_float64_argmin(kind, n, style, seed):
+def test_exact_median_is_the_exact_lowest_id_minimizer(kind, n, style, seed):
     rng = np.random.default_rng(seed)
     g = generate(kind, n, seed=seed % 1000)
     w = _weights(style, n, rng)
-    assert exact_median(w, g) == int(np.argmin(g.dist @ w))
+    assert exact_median(w, g) == brute_median(g.n, g.edges, w)
 
 
-def test_certificate_undecided_on_a_tie():
-    g = generate("cycle", 12)
-    w = np.full(12, 1.0 / 12)
-    assert _certified_argmin(g.dist32 @ w.astype(np.float32), g) is None
-    assert exact_median(w, g) == int(np.argmin(g.dist @ w))
+def _cube3():
+    return build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
 
-def test_certificate_proves_a_one_hot_median():
+@pytest.mark.parametrize("graph", ["cycle66", "cycle100", "cycle1025", "complete9", "cube3"])
+def test_uniform_weights_on_a_vertex_transitive_graph_give_vertex_0(graph):
+    # every vertex ties, so the lowest id is the median whatever the size
+    if graph == "cube3":
+        g = _cube3()
+    else:
+        kind = graph.rstrip("0123456789")
+        g = generate(kind, int(graph[len(kind):]))
+    assert exact_median(np.full(g.n, 1.0 / g.n), g) == 0
+
+
+def test_tie_step_median_holds_no_wide_copy_of_the_matrix():
+    # every vertex of the uniform cycle survives the screen; their exact
+    # sums must not cost a float64 or int64 copy of the matrix
+    n = 1025
+    g = generate("cycle", n)
+    w = np.full(n, 1.0 / n)
+    g.dist32
+    tracemalloc.start()
+    try:
+        assert exact_median(w, g) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+def test_exact_median_rejects_negative_and_non_finite_weights(bad, path5):
+    w = np.full(5, 0.2)
+    w[3] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        exact_median(w, path5)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 40), st.integers(1, 60), st.sampled_from(("classes", "subnormal", "past-float32")),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_argbest_matches_fraction_sums(k, n, style, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 4, (k, n)).astype(np.int8)
+    if rng.random() < 0.5:
+        rows[k // 2] = rows[0]  # an exact tie, lowest index wins
+    # few distinct values make ties common
+    w = rng.choice(10.0 ** rng.uniform(-3, 3, 4), n)
+    if style == "subnormal":
+        w[rng.random(n) < 0.5] = 5e-324 * rng.integers(1, 2**20)
+    elif style == "past-float32":
+        w[rng.integers(n)] = 1e39 * rng.random()
+    sums = [sum((int(d) * Fraction(float(x)) for d, x in zip(row, w)), Fraction(0)) for row in rows]
+    assert exact_argbest(rows, w) == sums.index(min(sums))
+    assert exact_argbest(rows, w, largest=True) == sums.index(max(sums))
+    with pytest.raises(ValueError):
+        exact_argbest(rows, np.full(n, np.inf))
+
+
+def test_survivors_of_a_one_hot_screen():
     g = generate("cycle", 12)
     for v in (0, 5, 11):
         w = np.zeros(12)
         w[v] = 1.0
-        assert _certified_argmin(g.dist32 @ w.astype(np.float32), g) == v
+        assert _survivors(g.dist32 @ w.astype(np.float32), g).tolist() == [v]
 
 
-def test_certificate_undecided_on_a_non_finite_screen():
+def test_survivors_of_a_uniform_cycle():
+    g = generate("cycle", 12)
+    w = np.full(12, 1.0 / 12)
+    assert len(_survivors(g.dist32 @ w.astype(np.float32), g)) > 1
+    assert exact_median(w, g) == 0
+
+
+def test_non_finite_screen_rules_nothing_out():
     g = generate("path", 6)
     phi32 = np.array([np.inf, 1.0, 2.0, 3.0, 4.0, 5.0], dtype=np.float32)
-    assert _certified_argmin(phi32, g) is None
+    assert _survivors(phi32, g).tolist() == list(range(6))
     phi32[0] = np.nan
-    assert _certified_argmin(phi32, g) is None
+    assert _survivors(phi32, g).tolist() == list(range(6))

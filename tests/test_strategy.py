@@ -350,8 +350,8 @@ def test_grid_greedy_heavy_departs_from_the_reference_only_at_a_tie(monkeypatch)
 
 
 def test_greedy_heavy_run_holds_no_float64_matrix():
-    # the median screens with float32 and falls back to a temporary float64
-    # product; neither leaves an eight-byte-a-pair copy on the graph
+    # the median screens with float32 and sums its near ties exactly;
+    # neither leaves an eight-byte-a-pair copy on the graph
     g = generate("erdos-renyi-connected", 64, seed=0)
     t = _er64_search("greedy-heavy", g)
     assert t.success
