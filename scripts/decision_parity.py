@@ -9,14 +9,16 @@ directory. Both runs build their searches from this checkout's
 perfbench/workloads.py. Criterion 1 is reduced to one hash of its small
 graphs (n and edge lists, in order) and one of its 49 800 exact-median
 picks. Each search is reduced to a hash of its queries, replies, members
-redrawn and walk potentials (so a change in which members are redrawn
-shows before it moves a query); each criterion-5 row is reduced to a hash
-of its search and one of its fields. Two tie hashes cover the tie rule
-directly: the exact-median picks and greedy-heavy's replies to every
-query on vertex-transitive graphs (cycles of 66, 100 and 1 025 vertices,
-K9 and the 3-cube), where every vertex or branch can tie, under uniform
-and power-table weights. Prints every hash that differs and a count per
-kind, and exits 1 if one differs.
+redrawn and walk potentials, and of the final members and counts of the
+sample it drew, if any: a change in how many members are redrawn shows
+before it moves a query, and a redraw that lands on another vertex shows
+even when it moves no query or walk sum. Each criterion-5 row is reduced
+to a hash of its search and one of its fields. Two tie hashes cover the
+tie rule directly: the exact-median picks and greedy-heavy's replies to
+every query on vertex-transitive graphs (cycles of 66, 100 and 1 025
+vertices, K9 and the 3-cube), where every vertex or branch can tie, under
+uniform and power-table weights. Prints every hash that differs and a
+count per kind, and exits 1 if one differs.
 
     python3 scripts/decision_parity.py --against HEAD~1
 
@@ -41,9 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def _digest(t) -> str:
+def _digest(t, sample=None) -> str:
     h = hashlib.sha256()
-    for a in (t.queries, t.replies, t.resampled, t.search_start_sums, t.search_end_sums):
+    arrays = [t.queries, t.replies, t.resampled, t.search_start_sums, t.search_end_sums]
+    if sample is not None:
+        arrays += [sample.members, sample.counts]
+    for a in arrays:
         h.update(a.astype("<i8").tobytes())
     return h.hexdigest()[:16]
 
@@ -57,6 +62,7 @@ def emit(tree: Path) -> None:
     from graphbisect.graph import build_graph, generate
     from graphbisect.oracle import AdversarialOracle
     from graphbisect.potential import exact_median
+    from graphbisect.sampling import Sample
     from graphbisect.weights import power_table
 
     if Path(graphbisect.__file__).resolve().parent != (tree / "src" / "graphbisect").resolve():
@@ -100,11 +106,28 @@ def emit(tree: Path) -> None:
     out("ties/medians", hashlib.sha256(repr(medians).encode()).hexdigest()[:16])
     out("ties/greedy-heavy", hashlib.sha256(repr(replies).encode()).hexdigest()[:16])
 
+    # every sample a search draws, recorded on its way out of Sample.draw;
+    # a search draws at most one, and resamples it in place
+    samples = []
+    draw = vars(Sample)["draw"].__func__
+
+    def recorded_draw(cls, *args, **kwargs):
+        sample = draw(cls, *args, **kwargs)
+        samples.append(sample)
+        return sample
+
+    Sample.draw = classmethod(recorded_draw)
+
+    def digest(t):
+        if len(samples) > 1:
+            raise SystemExit(f"one search drew {len(samples)} samples")
+        return _digest(t, samples.pop() if samples else None)
+
     for seed in SEEDS:
         for name, build in WORKLOADS.items():
             for s in build(seed):
                 t = graphbisect.run_search(s.graph, s.make_oracle(), s.cfg)
-                out(f"{name}/seed{seed}/{s.label}", _digest(t))
+                out(f"{name}/seed{seed}/{s.label}", digest(t))
 
     # criterion 5, as tests/test_acceptance.py specifies it, run in-process so
     # that every transcript passes through the wrapper
@@ -113,7 +136,7 @@ def emit(tree: Path) -> None:
 
     def recorded(*args, **kwargs):
         t = search(*args, **kwargs)
-        transcripts.append(_digest(t))
+        transcripts.append(digest(t))
         return t
 
     harness.run_search = recorded

@@ -17,16 +17,53 @@ import numpy as np
 from .graph import Graph
 
 
-def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniform draws through the cumulative weight array.
+def _draw(omega: np.ndarray, u: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray]:
+    """Map uniform draws through the cumulative weight array: (h, rest, ids).
 
-    Binary search per draw, equivalent to merging sorted uniforms against
-    one cumulative scan; the clip guards against u landing exactly on the
-    total weight. u is scratch: it is scaled by the total in place.
+    When one vertex h holds more than half the weight, two comparisons
+    send every scaled uniform in its cumulative interval [cumw[h-1],
+    cumw[h]) to h, and only the others are searched: rest holds their
+    positions in u and ids their vertex ids. Otherwise h is -1, rest is
+    None and ids holds every draw's id. Either way an id is the one the
+    plain search returns. u is scratch: it is scaled by the total in place.
     """
     cumw = np.cumsum(omega)
-    idx = np.searchsorted(cumw, np.multiply(u, cumw[-1], out=u), side="right")
-    return np.minimum(idx, len(omega) - 1, out=idx).astype(np.int32)
+    x = np.multiply(u, cumw[-1], out=u)
+    n = len(omega)
+    h = int(np.argmax(omega))
+    if not 2.0 * omega[h] > cumw[-1]:
+        return -1, None, _search(cumw, x)
+    # searchsorted(side="right") returns h exactly when cumw[h-1] <= x <
+    # cumw[h], cumw being non-decreasing; past the last vertex the clip in
+    # _search sends x >= cumw[-1] to n - 1 as well
+    off = x < (cumw[h - 1] if h > 0 else -np.inf)
+    off |= x >= (cumw[h] if h < n - 1 else np.inf)
+    rest = np.flatnonzero(off)
+    del off  # freed before the search's temporaries
+    return h, rest, _search(cumw, x[rest])
+
+
+def _search(cumw: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Binary search per draw, equivalent to merging sorted draws against
+    one cumulative scan; the clip guards against x landing exactly on the
+    total weight."""
+    idx = np.searchsorted(cumw, x, side="right")
+    return np.minimum(idx, len(cumw) - 1, out=idx).astype(np.int32)
+
+
+def draw_indices_from(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vertex ids of the uniform draws u, each drawn proportionally to omega.
+
+    The inverse CDF, except that the draws onto a vertex holding more than
+    half the weight are placed by two comparisons instead of a binary
+    search (see _draw). u is scratch: it is scaled by the total in place.
+    """
+    h, rest, ids = _draw(omega, u)
+    if rest is None:
+        return ids
+    out = np.full(len(u), h, dtype=np.int32)
+    out[rest] = ids
+    return out
 
 
 def _distance_sums(graph: Graph, x: np.ndarray) -> np.ndarray:
@@ -103,10 +140,19 @@ class Sample:
         vertex stays with probability 1/gamma, otherwise it is replaced by a
         fresh draw from the already-updated weights omega. Coins and redraws
         are consumed in positional order: one coin per inconsistent member,
-        then one uniform per failed coin. Both go to one per-sample buffer;
-        beyond it a step allocates one byte per member, the flags of the
-        members to redraw, and up to twenty per redrawn member, its
-        position and new id.
+        then one uniform per failed coin. Every step with an inconsistent
+        member resamples, whatever the weights; a step with none draws
+        nothing.
+
+        A step costs O(n) plus O(1) per inconsistent member. A redraw
+        costs a binary search over the n cumulative weights, except one
+        that lands on a vertex holding more than half the weight: two
+        comparisons place it (see _draw), and the members arriving at or
+        leaving that vertex are counted by comparison, not bincount. The
+        ids are the inverse CDF's either way. Coins and redraw uniforms go
+        to one per-sample buffer; beyond it a step allocates one byte per
+        member, the flags of the members to redraw, and about twenty per
+        redrawn member, its position and its old and new ids.
 
         Tracked distance sums move by dist @ delta, the change in counts
         (see _distance_sums).
@@ -127,13 +173,25 @@ class Sample:
         # copy them all to intp, eight bytes a member.
         redraw = np.logical_not(consistent)[self.members]
         redraw[redraw] = fail
+        del fail  # freed before the positions are built
         pos = np.flatnonzero(redraw)
-        del fail, redraw  # freed before the draw's temporaries
-        new = draw_indices_from(omega, draws)
+        del redraw  # freed before the draw's temporaries
+        h, rest, ids = _draw(omega, draws)
         old = self.members[pos]
-        self.members[pos] = new
-        del pos  # freed before bincount copies new and old to intp
-        delta = np.bincount(new, minlength=n) - np.bincount(old, minlength=n)
+        if rest is None:
+            self.members[pos] = ids
+        else:
+            self.members[pos] = h
+            self.members[pos[rest]] = ids
+        del pos  # freed before bincount copies the ids to intp
+        delta = np.bincount(ids, minlength=n)
+        if rest is not None:
+            # members that leave h are counted by one comparison as well: on
+            # a step that reweights h, most redraws leave it and land back
+            old = old[old != h]
+            # the draws that landed on h less the members that left it
+            delta[h] += len(old) - len(ids)
+        delta -= np.bincount(old, minlength=n)
         self.counts += delta
         if self.distance_sums is not None:
             self.distance_sums += _distance_sums(self.graph, delta)

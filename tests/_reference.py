@@ -94,6 +94,32 @@ def brute_heaviest(n, edges, omega, q, replies):
     return best
 
 
+def inverse_cdf(w, u):
+    """Vertex ids of the uniforms u, each drawn proportionally to w: one
+    binary search over the cumulative weights per draw."""
+    cumw = np.cumsum(w)
+    return np.minimum(np.searchsorted(cumw, u * cumw[-1], side="right"), len(w) - 1)
+
+
+def positional_resample(members, counts, consistent, omega, gamma, rng):
+    """One step of the positional resampler, updating members and counts in
+    place; returns the members redrawn. One coin per inconsistent member in
+    positional order, then one inverse-CDF draw per failed coin in the same
+    order."""
+    n_inc = int(counts[~consistent].sum())
+    if n_inc == 0:
+        return 0
+    fail = rng.random(n_inc) >= 1.0 / gamma
+    draws = rng.random(int(fail.sum()))
+    if len(draws) == 0:
+        return 0
+    pos = np.flatnonzero(~consistent[members])[fail]
+    counts -= np.bincount(members[pos], minlength=len(omega))
+    members[pos] = inverse_cdf(omega, draws)
+    counts += np.bincount(members[pos], minlength=len(omega))
+    return len(draws)
+
+
 def positive_weights(rng, n):
     """Random strictly positive weight vector, a mix of scales."""
     kind = rng.integers(0, 3)
