@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Check that this checkout makes the same search decisions as another revision.
 
-Runs acceptance criterion 1's median-bisection suite, the benchmark's
-searches (every workload in perfbench/workloads.py, seeds 1-3) and
-criterion 5's 600 adversarial rows twice: once with this checkout's package
-and once with the package of REV, unpacked by git archive into a temporary
-directory. Both runs build their searches from this checkout's
-perfbench/workloads.py. Criterion 1 is reduced to one hash of its small
-graphs (n and edge lists, in order) and one of its 49 800 exact-median
-picks. Each search is reduced to a hash of its queries, replies, members
+Hashes the graphs the package builds, then runs acceptance criterion 1's
+median-bisection suite, the benchmark's searches (every workload in
+perfbench/workloads.py, seeds 1-3) and criterion 5's 600 adversarial rows,
+twice: once with this checkout's package and once with the package of REV,
+unpacked by git archive into a temporary directory. Both runs build their
+searches from this checkout's perfbench/workloads.py. The graph hashes
+cover the sorted edges of every kind at a few sizes and params on seeds
+0-3 (among them the ER and random-regular seeds whose first draws are
+disconnected), the exception type and text of invalid params, the bytes
+and dtype of the all-pairs matrices of the 64 x 64 grid, path 600, ER-1024
+and a random tree on 1 024 vertices, and four 64-source fills on the grid.
+Criterion 1 is reduced to one hash of its small graphs (n and edge lists,
+in order) and one of its 49 800 exact-median picks. Each search is reduced to a hash of its queries, replies, members
 redrawn and walk potentials, and of the final members and counts of the
 sample it drew, if any: a change in how many members are redrawn shows
 before it moves a query, and a redraw that lands on another vertex shows
@@ -59,7 +64,7 @@ def emit(tree: Path) -> None:
     import graphbisect
     import graphbisect.harness as harness
     import graphbisect.verify as verify
-    from graphbisect.graph import build_graph, generate
+    from graphbisect.graph import GRAPH_KINDS, build_graph, distance_matrix, generate
     from graphbisect.oracle import AdversarialOracle
     from graphbisect.potential import exact_median
     from graphbisect.sampling import Sample
@@ -71,6 +76,54 @@ def emit(tree: Path) -> None:
 
     def out(label, digest):
         print(json.dumps({"label": label, "hash": digest}), flush=True)
+
+    def matrix_digest(d):
+        return hashlib.sha256(str(d.dtype).encode() + d.tobytes()).hexdigest()[:16]
+
+    # the generators: every kind's edges, or the error it raises, at a few
+    # sizes and params on seeds 0-3, including the seeds whose first ER and
+    # random-regular draws are disconnected
+    cases = [(kind, n, {}) for kind in GRAPH_KINDS for n in (1, 12, 100)] + [
+        ("grid", 12, {"rows": 2, "cols": 6}),
+        ("erdos-renyi-connected", 12, {"p": 0.15}),
+        ("random-regular", 12, {"degree": 2}),
+        # invalid params
+        ("cycle", 2, {}),
+        ("grid", 10, {"rows": 3, "cols": 4}),
+        ("erdos-renyi-connected", 10, {"p": 1.5}),
+        ("erdos-renyi-connected", 10, {"p": -0.1}),
+        ("random-regular", 5, {"degree": 3}),
+        ("random-regular", 5, {"degree": 5}),
+        ("random-regular", 4, {"degree": 0}),
+        ("random-regular", 10, {"degre": 4}),
+        ("path", 0, {}),
+        ("unknown-kind", 5, {}),
+    ]
+    for kind, n, params in cases:
+        for seed in range(4):
+            try:
+                result = generate(kind, n, params, seed=seed).edges
+            except ValueError as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            label = f"graph/edges/{kind}/n{n}/{json.dumps(params, sort_keys=True)}/seed{seed}"
+            out(label, hashlib.sha256(repr(result).encode()).hexdigest()[:16])
+
+    # all-pairs matrices, bytes and dtype: int8 on the grid, ER and tree,
+    # int16 over ten bit planes on the path
+    for kind, n, params in [
+        ("grid", 4096, {"rows": 64, "cols": 64}),
+        ("path", 600, {}),
+        ("erdos-renyi-connected", 1024, {}),
+        ("random-tree", 1024, {}),
+    ]:
+        out(f"graph/dist/{kind}/n{n}", matrix_digest(generate(kind, n, params).dist))
+
+    # 64-source fills on the grid, as local search asks for them
+    grid = generate("grid", 4096, {"rows": 64, "cols": 64})
+    rng = np.random.default_rng(17)
+    for i in range(4):
+        sources = rng.choice(grid.n, 64, replace=False)
+        out(f"graph/fill/grid/{i}", matrix_digest(distance_matrix(grid.n, grid.edges, sources)))
 
     # criterion 1, as tests/test_acceptance.py runs it, with every median
     # pick recorded on its way out of exact_median
@@ -203,10 +256,11 @@ def main() -> int:
     for label in missing:
         print(f"differs: {label}  {commit} {theirs[label]}  this checkout -")
     kinds = {
+        "graph hashes": lambda label: label.startswith("graph/"),
         "criterion-1 hashes": lambda label: label.startswith("criterion1/"),
         "tie hashes": lambda label: label.startswith("ties/"),
         f"benchmark searches on seeds {', '.join(map(str, SEEDS))}":
-            lambda label: not label.startswith(("criterion", "ties/")),
+            lambda label: not label.startswith(("graph/", "criterion", "ties/")),
         "criterion-5 searches": lambda label: label.endswith("/search"),
         "criterion-5 rows": lambda label: label.endswith("/row"),
     }

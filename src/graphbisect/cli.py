@@ -103,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     params = _parse_object(args.params, "--params") if args.params else None
-    g = generate(args.graph, args.n, params, seed=args.seed)
+    try:
+        g = generate(args.graph, args.n, params, seed=args.seed)
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"generate {args.graph}: {exc}")
     out = args.out or f"{args.graph}-{args.n}.edges"
     save_edge_list(g, out)
     print(f"{out}: n={g.n} m={g.m} diameter={g.diameter} max_degree={g.max_degree}")
@@ -189,10 +192,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_median(args) -> int:
-    g = load_edge_list(args.edges)
+    try:
+        g = load_edge_list(args.edges)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"verify-median --edges: {exc}")
     if args.weights:
-        with open(args.weights) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.weights) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"verify-median --weights: {exc}")
         if not isinstance(data, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
         ):

@@ -219,25 +219,18 @@ def _slot_neighbors(n: int, edges) -> tuple[np.ndarray, list[np.ndarray]]:
     return rank, slots
 
 
-# byte j of _SPREAD[x] is bit j of x, for x in 0..255
-_SPREAD = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).view("<u8").ravel()
-
-
 def _unpack_planes(planes: np.ndarray, rows, b: int, dtype) -> np.ndarray:
     """Integers whose bit k is bit s of planes[k, v], one row per v in rows
     and one column per source bit s < b."""
     out = np.zeros((len(rows), b), dtype=dtype)
-    for low in range(0, len(planes), 8):
-        # eight planes at a time become one byte per source: each plane
-        # byte spreads to eight bytes that hold its bits at bit position k
-        acc = np.zeros((len(rows), planes.shape[-1] * 8), dtype=_SPREAD.dtype)
-        for k, plane in enumerate(planes[low:low + 8]):
-            spread = _SPREAD[plane[rows].astype("<u8", copy=False).view(np.uint8)]
-            spread <<= np.uint64(k)
-            acc |= spread
-        out |= acc.view(np.uint8)[:, :b].astype(dtype) << low
+    for k, plane in enumerate(planes):
+        # little-endian words put source bit s at bit s % 8 of byte s // 8
+        # on any machine
+        words = plane[rows].astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(words, axis=1, count=b, bitorder="little")
+        # times 2**k puts the bits at bit k, several times faster than a
+        # shift on 8-bit integers
+        out |= np.multiply(bits, 1 << k, dtype=dtype)
     return out
 
 
@@ -261,9 +254,9 @@ def distance_matrix(n: int, edges, sources=None) -> np.ndarray:
     search ORs each level's new bits into those bit planes. A level costs
     O((n + m) * _BFS_BLOCK / 64) word operations, so the whole matrix costs
     O(D * (n + m) * n / 64) for diameter D: far below one queue-based BFS
-    per source when D is small, above it on long paths and cycles. The
-    planes are unpacked a chunk of vertices at a time, so no temporary
-    grows with n * n.
+    per source when D is small, above it on long paths and cycles. numpy's
+    unpackbits turns the planes into distances one plane and one chunk of
+    vertices at a time, so no temporary grows with n * n.
     """
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
@@ -286,9 +279,10 @@ def distance_matrix(n: int, edges, sources=None) -> np.ndarray:
     planes = work[4:]
     # vertices per unpacked chunk: more when the block has few sources and
     # a vertex holds few bits, but few enough that the chunk's temporaries
-    # (64 KB for a one-word block) stay small next to the workspace;
-    # larger ones are trimmed from the heap and faulted back in on every
-    # call
+    # (one plane's words, its bits unpacked one byte per source and their
+    # product in the output dtype: 64 KB each for the bits of a one-word
+    # int8 block) stay small next to the workspace; larger ones are
+    # trimmed from the heap and faulted back in on every call
     chunk = max(_UNPACK_ROWS, _UNPACK_WORDS // words)
     for lo in range(0, k, _BFS_BLOCK):
         b = min(_BFS_BLOCK, k - lo)
@@ -403,21 +397,21 @@ def consistent_set(g: Graph, q: int, reply: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generators. All are deterministic for a fixed seed; the random families
-# retry until connected, consuming the generator stream sequentially.
+# Generators. Each kind is an edge draw, (n, params, rng) -> edges, that
+# generate repeats on one seeded generator until the graph is connected.
 
 
-def _path_edges(n):
+def _path_edges(n, params, rng):
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _cycle_edges(n):
+def _cycle_edges(n, params, rng):
     if n < 3:
         raise ValueError("cycle needs n >= 3 to stay simple")
-    return _path_edges(n) + [(n - 1, 0)]
+    return _path_edges(n, params, rng) + [(n - 1, 0)]
 
 
-def _complete_edges(n):
+def _complete_edges(n, params, rng):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -434,7 +428,7 @@ def _grid_shape(n, params):
     return r, n // r
 
 
-def _grid_edges(n, params):
+def _grid_edges(n, params, rng):
     r, c = _grid_shape(n, params)
     edges = []
     for i in range(r):
@@ -447,9 +441,9 @@ def _grid_edges(n, params):
     return edges
 
 
-def _random_tree_edges(n, rng):
+def _random_tree_edges(n, params, rng):
     if n <= 2:
-        return _path_edges(n)
+        return _path_edges(n, params, rng)
     # decode a uniform Pruefer sequence
     seq = rng.integers(0, n, size=n - 2)
     deg = np.ones(n, dtype=np.int64)
@@ -470,14 +464,17 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def _er_edges(n, p, rng):
+def _er_edges(n, params, rng):
+    p = float(params.get("p", min(1.0, 2.0 * math.log(max(n, 2)) / n)))
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p} outside [0, 1]")
     # skip-sampling over the upper triangle: geometric jumps touch only
     # the edges that exist, so large sparse graphs stay cheap
     edges = []
     if p <= 0:
         return edges
     if p >= 1:
-        return _complete_edges(n)
+        return _complete_edges(n, params, rng)
     total = n * (n - 1) // 2
     idx = -1
     log_q = math.log1p(-p)
@@ -500,7 +497,15 @@ def _er_edges(n, p, rng):
     return edges
 
 
-def _random_regular_edges(n, d, rng):
+def _random_regular_edges(n, params, rng):
+    d = int(params.get("degree", 3))
+    if d < 0 or d > n - 1:
+        raise ValueError(f"degree {d} impossible for n={n}")
+    if (n * d) % 2:
+        raise ValueError(f"n*degree must be even, got n={n} d={d}")
+    # checked here, as no redraw can connect it
+    if d == 0 and n > 1:
+        raise ValueError("degree 0 is disconnected for n > 1")
     # pairing model on n*d stubs, rejected until simple
     stubs = np.repeat(np.arange(n), d)
     for _ in range(500):
@@ -525,75 +530,49 @@ def _random_regular_edges(n, d, rng):
     raise RuntimeError(f"no simple {d}-regular pairing found for n={n}")
 
 
-# each graph kind and the params keys it reads
-_KIND_PARAMS = {
-    "path": (),
-    "cycle": (),
-    "complete": (),
-    "grid": ("rows", "cols"),
-    "random-tree": (),
-    "erdos-renyi-connected": ("p",),
-    "random-regular": ("degree",),
+# each graph kind: the params keys it reads and its edge draw
+_KINDS = {
+    "path": ((), _path_edges),
+    "cycle": ((), _cycle_edges),
+    "complete": ((), _complete_edges),
+    "grid": (("rows", "cols"), _grid_edges),
+    "random-tree": ((), _random_tree_edges),
+    "erdos-renyi-connected": (("p",), _er_edges),
+    "random-regular": (("degree",), _random_regular_edges),
 }
-GRAPH_KINDS = tuple(_KIND_PARAMS)
+GRAPH_KINDS = tuple(_KINDS)
 
 
 def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Graph:
-    """Build a named graph family member; random kinds retry until connected.
+    """Build a named graph family member, deterministic for a fixed seed.
 
-    Raises ValueError for an unknown kind, params that are not a dict or a
-    params key the kind does not read.
+    Every kind draws its edges from one generator seeded with seed until
+    the graph is connected, at most 200 times; path, cycle, complete, grid
+    and random tree are connected on their first draw. Raises ValueError
+    for an unknown kind, params that are not a dict, a params key the kind
+    does not read or params it cannot draw from, and RuntimeError when
+    every draw is disconnected.
     """
     if params is None:
         params = {}
     if not isinstance(params, dict):
         raise ValueError(f"params must be a dict, got {type(params).__name__}")
-    if kind not in _KIND_PARAMS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
-    unread = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    keys, draw = _KINDS[kind]
+    unread = sorted(set(params) - set(keys))
     if unread:
-        raise ValueError(
-            f"{kind} does not read params {unread}; it reads {list(_KIND_PARAMS[kind])}"
-        )
+        raise ValueError(f"{kind} does not read params {unread}; it reads {list(keys)}")
     if n <= 0:
         raise ValueError("graph needs at least one vertex")
     rng = np.random.default_rng(seed)
-    if kind == "path":
-        return build_graph(n, _path_edges(n))
-    if kind == "cycle":
-        return build_graph(n, _cycle_edges(n))
-    if kind == "complete":
-        return build_graph(n, _complete_edges(n))
-    if kind == "grid":
-        return build_graph(n, _grid_edges(n, params))
-    if kind == "random-tree":
-        return build_graph(n, _random_tree_edges(n, rng))
-    if kind == "erdos-renyi-connected":
-        p = float(params.get("p", min(1.0, 2.0 * math.log(max(n, 2)) / n)))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability {p} outside [0, 1]")
-        for _ in range(200):
-            try:
-                return build_graph(n, _er_edges(n, p, rng))
-            except DisconnectedGraphError:
-                pass
-        raise RuntimeError(f"no connected G({n}, {p}) draw in 200 attempts")
-    # the one kind left: random-regular
-    d = int(params.get("degree", 3))
-    if d < 0 or d > n - 1:
-        raise ValueError(f"degree {d} impossible for n={n}")
-    if (n * d) % 2:
-        raise ValueError(f"n*degree must be even, got n={n} d={d}")
-    if d == 0:
-        if n == 1:
-            return build_graph(1, [])
-        raise ValueError("degree 0 is disconnected for n > 1")
     for _ in range(200):
+        edges = draw(n, params, rng)
         try:
-            return build_graph(n, _random_regular_edges(n, d, rng))
+            return build_graph(n, edges)
         except DisconnectedGraphError:
             pass
-    raise RuntimeError(f"no connected {d}-regular graph for n={n}")
+    raise RuntimeError(f"no connected {kind} graph on {n} vertices in 200 draws")
 
 
 # ---------------------------------------------------------------------------

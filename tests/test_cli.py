@@ -51,6 +51,61 @@ def test_bad_config_file_exits_with_one_line(text, tmp_path):
     assert str(exc.value).startswith(f"--config {cfg}") and "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--graph", "erdos-renyi-connected", "--n", "10", "--params", '{"p": 1.5}'],
+     "edge probability 1.5 outside"),
+    (["--graph", "random-regular", "--n", "10", "--params", '{"degree": 12}'],
+     "degree 12 impossible"),
+    (["--graph", "random-regular", "--n", "4", "--params", '{"degree": 0}'],
+     "degree 0 is disconnected"),
+    (["--graph", "cycle", "--n", "2"], "cycle needs n >= 3"),
+    (["--graph", "grid", "--n", "10", "--params", '{"rows": 3, "cols": 4}'],
+     r"rows\*cols must equal"),
+    (["--graph", "path", "--n", "0"], "at least one vertex"),
+    # no draw at p = 0 is connected: generate gives up after 200
+    (["--graph", "erdos-renyi-connected", "--n", "10", "--params", '{"p": 0}'],
+     "200 draws"),
+])
+def test_generate_bad_graph_exits_with_one_line(argv, message, tmp_path):
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["generate", *argv, "--out", str(tmp_path / "g.edges")])
+    assert str(exc.value).startswith(f"generate {argv[1]}: ")
+    assert "\n" not in str(exc.value)
+    assert not (tmp_path / "g.edges").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 2\n0 1\n0 5\n", "out of range"),
+    ("3 2\n0 1\n1 1\n", "self-loop"),
+    ("3 2\n0 1\n1 0\n", "duplicate edge"),
+    ("3 3\n0 1\n1 2\n", "header promises 3 edges, found 2"),
+    ("4 2\n0 1\n2 3\n", "disconnected"),
+    ("3 2\n0 1\n1 x\n", "invalid literal"),
+    (None, "No such file"),
+])
+def test_verify_median_bad_edge_list_exits_with_one_line(text, message, tmp_path):
+    edges = tmp_path / "g.edges"
+    if text is not None:
+        edges.write_text(text)
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["verify-median", "--edges", str(edges)])
+    assert str(exc.value).startswith("verify-median --edges: ")
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [("[0.5, 0.5,", "Expecting value"), (None, "No such file")])
+def test_verify_median_unreadable_weights_exit_with_one_line(text, message, tmp_path):
+    edges = tmp_path / "p5.edges"
+    main(["generate", "--graph", "path", "--n", "5", "--out", str(edges)])
+    weights = tmp_path / "w.json"
+    if text is not None:
+        weights.write_text(text)
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["verify-median", "--edges", str(edges), "--weights", str(weights)])
+    assert str(exc.value).startswith("verify-median --weights: ")
+    assert "\n" not in str(exc.value)
+
+
 def test_run_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = main([

@@ -403,8 +403,8 @@ def test_generator_determinism():
 
 
 @pytest.mark.parametrize("kind,params,draw,seed", [
-    ("erdos-renyi-connected", {"p": 0.15}, lambda rng: _er_edges(12, 0.15, rng), 1),
-    ("random-regular", {"degree": 2}, lambda rng: _random_regular_edges(12, 2, rng), 2),
+    ("erdos-renyi-connected", {"p": 0.15}, lambda rng: _er_edges(12, {"p": 0.15}, rng), 1),
+    ("random-regular", {"degree": 2}, lambda rng: _random_regular_edges(12, {"degree": 2}, rng), 2),
 ])
 def test_generate_draws_again_until_connected(kind, params, draw, seed):
     # the first draws on these seeds are disconnected; generate returns the
@@ -421,6 +421,35 @@ def test_generate_draws_again_until_connected(kind, params, draw, seed):
     assert g.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
 
 
+@pytest.mark.parametrize("kind", ["erdos-renyi-connected", "random-regular"])
+def test_generate_gives_up_after_200_disconnected_draws(kind, monkeypatch):
+    keys, _ = graphbisect.graph._KINDS[kind]
+    draws = []
+
+    def disconnected(n, params, rng):
+        draws.append(rng.random())
+        return [(0, 1)]
+
+    monkeypatch.setitem(graphbisect.graph._KINDS, kind, (keys, disconnected))
+    with pytest.raises(RuntimeError, match="200 draws"):
+        generate(kind, 6, seed=3)
+    # one generator serves every draw, so no two draws see the same stream
+    assert len(draws) == 200 and len(set(draws)) == 200
+
+
+def test_a_connected_kind_draws_once(monkeypatch):
+    keys, draw = graphbisect.graph._KINDS["path"]
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setitem(graphbisect.graph._KINDS, "path", (keys, counted))
+    assert generate("path", 7).edges == tuple((i, i + 1) for i in range(6))
+    assert len(draws) == 1
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         generate("cycle", 2)
@@ -432,6 +461,11 @@ def test_generator_validation():
         generate("unknown-kind", 5)
     with pytest.raises(ValueError):
         generate("erdos-renyi-connected", 10, {"p": 1.5})
+    # an empty edge list no redraw can connect is bad params, not 200 draws
+    with pytest.raises(ValueError, match="degree 0"):
+        generate("random-regular", 4, {"degree": 0})
+    g = generate("random-regular", 1, {"degree": 0})
+    assert g.n == 1 and g.edges == () and g.diameter == 0
     # a key the kind does not read is an error, not a silent default
     for kind, n, params in [
         ("random-regular", 10, {"degre": 4}),
